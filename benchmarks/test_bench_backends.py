@@ -1,9 +1,8 @@
-"""Backend comparison benchmark: numpy vs scipy vs sharded.
+"""Backend comparison benchmark: numpy vs scipy.
 
-Measures the pluggable execution backends on the default streaming
+Measures the two local execution backends on the default streaming
 workload (192^3 occupancy grid, Sub-Conv 1->16) at the convolution
-level, and on a multi-group ``run_batch`` workload at the session level
-(where the sharded backend fans digest groups across worker processes).
+level, and on a multi-group ``run_batch`` workload at the session level.
 Parity is asserted (bit-identical outputs); relative speed is *reported*
 — which engine wins is workload- and machine-dependent, and the report
 (``results/backend_speedup.txt``) is the artifact CI uploads.
@@ -78,18 +77,12 @@ def test_bench_backend_conv_parity_and_speed(write_report):
 
     cfg, frames = batch_workload()
     local = InferenceSession(unet_config=cfg, backend="numpy")
-    sharded = InferenceSession(
-        unet_config=cfg, backend=get_backend("sharded", num_workers=2)
-    )
-    try:
-        expected = local.run_batch(frames)
-        fanned = sharded.run_batch(frames)
-        for out, ref in zip(fanned, expected):
-            assert np.array_equal(out.features, ref.features)
-        local_s = median_seconds(lambda: local.run_batch(frames), reps=7)
-        sharded_s = median_seconds(lambda: sharded.run_batch(frames), reps=7)
-    finally:
-        sharded.backend.close()
+    csr = InferenceSession(unet_config=cfg, backend="scipy")
+    expected = local.run_batch(frames)
+    for out, ref in zip(csr.run_batch(frames), expected):
+        assert np.array_equal(out.features, ref.features)
+    local_s = median_seconds(lambda: local.run_batch(frames), reps=7)
+    csr_s = median_seconds(lambda: csr.run_batch(frames), reps=7)
 
     degraded = " (DEGRADED: scipy absent, numpy fallback)" if getattr(
         scipy_backend, "degraded", False
@@ -105,13 +98,12 @@ def test_bench_backend_conv_parity_and_speed(write_report):
         "",
         f"run_batch, {len(frames)} frames in 4 digest groups "
         "(3-level U-Net @ 32^3):",
-        f"  numpy   local         {local_s * 1e3:9.3f} ms/batch",
-        f"  sharded 2-worker pool {sharded_s * 1e3:9.3f} ms/batch "
-        f"({local_s / sharded_s:5.2f}x vs local)",
+        f"  numpy  fused engine   {local_s * 1e3:9.3f} ms/batch",
+        f"  scipy  CSR operators  {csr_s * 1e3:9.3f} ms/batch "
+        f"({local_s / csr_s:5.2f}x vs numpy){degraded}",
         "",
-        f"machine: {os.cpu_count()} CPU core(s) visible — process fan-out "
-        "amortizes only with >1 core; parity holds regardless",
+        f"machine: {os.cpu_count()} CPU core(s) visible",
     ]
     write_report("backend_speedup", "\n".join(lines))
     # Parity is the hard requirement; relative speed is informational.
-    assert numpy_s > 0 and scipy_s > 0 and local_s > 0 and sharded_s > 0
+    assert numpy_s > 0 and scipy_s > 0 and local_s > 0 and csr_s > 0

@@ -499,11 +499,7 @@ def run_serve(argv: List[str]) -> int:
             f"  delta matching:     {s.delta_patches} patches, "
             f"{s.delta_rebuilds} rebuilds"
         )
-        print(
-            f"  plan refreshes:     {s.plans_refreshed} "
-            f"({s.plans_spliced} spliced, "
-            f"{s.plans_refreshed - s.plans_spliced} re-lowered)"
-        )
+        print(f"  plan refreshes:     {s.plans_refreshed}")
     serve_fps = stats.fps if stats.requests else 0.0
     print(f"  serve throughput:   {serve_fps:10.2f} frames/s")
     _obs_teardown(args, tracer, endpoint)
@@ -615,10 +611,7 @@ def run_stream(argv: List[str]) -> int:
             f"\ndelta matching:       {session_stats.delta_patches} patches, "
             f"{session_stats.delta_rebuilds} rebuilds "
             f"(threshold {session.delta_threshold:.2f})"
-            f"\nplan refreshes:       {session_stats.plans_refreshed} "
-            f"({session_stats.plans_spliced} spliced, "
-            f"{session_stats.plans_refreshed - session_stats.plans_spliced} "
-            "re-lowered)"
+            f"\nplan refreshes:       {session_stats.plans_refreshed}"
         )
     print(
         f"sustained fps:        {stats.fps:10.1f}\n"

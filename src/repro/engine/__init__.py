@@ -11,7 +11,7 @@ frames, batches, and estimates through the cross-scale
 
 Underneath the session sits the pluggable compute seam of
 :mod:`repro.engine.backend`: an abstract :class:`ExecutionBackend`
-(fused numpy, scipy CSR, multiprocessing-sharded, or any registered
+(fused numpy, scipy CSR, the remote cluster tier, or any registered
 third-party engine) evaluates rulebooks against features, bit-identical
 across backends for every session precision.
 
@@ -40,7 +40,6 @@ from repro.engine.backend import (
     NumpyFusedBackend,
     ScipySparseBackend,
     ShardSpecStore,
-    ShardedProcessBackend,
     available_backends,
     get_backend,
     register_backend,
@@ -50,8 +49,6 @@ from repro.engine.delta import (
     CoordinateDelta,
     DeltaCacheStats,
     DeltaRulebookCache,
-    DeltaUnsupportedError,
-    RulebookDelta,
     coordinate_delta,
     patch_rulebook,
     patch_sparse_conv_rulebook,
@@ -104,20 +101,17 @@ __all__ = [
     "BackendCapabilities",
     "NumpyFusedBackend",
     "ScipySparseBackend",
-    "ShardedProcessBackend",
     "ShardSpecStore",
     "register_backend",
     "get_backend",
     "available_backends",
     "CoordinateDelta",
-    "RulebookDelta",
     "coordinate_delta",
     "patch_rulebook",
     "patch_submanifold_rulebook",
     "patch_sparse_conv_rulebook",
     "DeltaRulebookCache",
     "DeltaCacheStats",
-    "DeltaUnsupportedError",
     "DEFAULT_DELTA_THRESHOLD",
     "MappingResult",
     "MappingStats",

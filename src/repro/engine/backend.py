@@ -8,7 +8,7 @@ caches, the serving queue) is backend-agnostic, and the actual
 gather-GEMM-scatter arithmetic is an :class:`ExecutionBackend` resolved
 by name through a string-keyed registry.
 
-Three backends ship with the repository:
+Two backends ship with the repository:
 
 ``numpy`` — :class:`NumpyFusedBackend`
     The default: the fused vectorized engine of
@@ -22,13 +22,9 @@ Three backends ship with the repository:
     matrix over the match rows) multiplied against the feature block.
     Degrades gracefully to the numpy engine when scipy is absent.
 
-``sharded`` — :class:`ShardedProcessBackend`
-    Fans :meth:`repro.engine.session.InferenceSession.run_batch` digest
-    groups out across a ``multiprocessing`` pool.  Each worker holds a
-    warm private session (plan and rulebook caches persist across
-    dispatches), so repeated site sets stay one matching pass per
-    worker.  Per-convolution calls delegate to the fused numpy engine —
-    sharding is a batch-level strategy, not a kernel.
+Fan-out of whole digest groups across machines is the remote tier's
+:class:`repro.runtime.cluster.RemoteShardBackend`, which registers
+itself through the same seam.
 
 Every backend is **bit-identical** to ``numpy`` for all three session
 precisions (float64 / float32 / int), cache-cold and cache-warm; the
@@ -81,20 +77,16 @@ class BackendCapabilities:
     vectorizes the gather/scatter stages across frames (rather than
     looping :meth:`~ExecutionBackend.execute`); ``sharded`` means the
     backend accepts whole ``run_batch`` digest groups via
-    :meth:`ExecutionBackend.run_groups`; ``offload_single_group`` asks
-    the session to route even a one-group batch through
-    ``run_groups`` (a remote tier wants every group off-box, while a
-    process pool only pays its IPC cost when there are groups to
-    overlap); ``degraded`` marks a backend whose optional dependency is
-    missing and which is transparently falling back to the fused numpy
-    engine.
+    :meth:`ExecutionBackend.run_groups` (the session then routes every
+    batch, even a one-group one, through it); ``degraded`` marks a
+    backend whose optional dependency is missing and which is
+    transparently falling back to the fused numpy engine.
     """
 
     name: str
     description: str
     native_batch: bool = False
     sharded: bool = False
-    offload_single_group: bool = False
     degraded: bool = False
     requires: Optional[str] = None
 
@@ -149,11 +141,6 @@ class ExecutionBackend:
         #: Patched rulebooks whose prepared state was refreshed via
         #: :meth:`refresh` (the delta engine's plan-invalidation hook).
         self.plans_refreshed = 0
-        #: Of :attr:`plans_refreshed`, how many were served by splicing
-        #: the delta into the cached plan instead of re-lowering the
-        #: patched rulebook from scratch (see
-        #: :meth:`ScipySparseBackend.refresh`).
-        self.plans_spliced = 0
 
     # ------------------------------------------------------------------
     # Plan preparation
@@ -191,14 +178,7 @@ class ExecutionBackend:
         rulebook, so the warm path never pays a cold :meth:`prepare` on
         its next execute; the superseded plan stays in the LRU memo
         (its digest may still recur in an alternating stream) and ages
-        out normally.  Backends whose plans are expensive to derive
-        (CSR operators, device buffers) can override this to splice
-        ``delta`` into the old plan instead of lowering the patched
-        rulebook from scratch — :class:`ScipySparseBackend` does, using
-        the :class:`repro.engine.delta.RulebookDelta` provenance the
-        patchers attach, and counts such refreshes in
-        :attr:`plans_spliced` (always a subset of
-        :attr:`plans_refreshed`).
+        out normally.
         """
         self.plan_for(new_rulebook)
         self.plans_refreshed += 1
@@ -414,12 +394,12 @@ class ScipySparseBackend(ExecutionBackend):
         super().__init__()
         self._sparse = _scipy_sparse
         self._fallback = NumpyFusedBackend() if self._sparse is None else None
-        # Splice scratch, grown geometrically and sliced per refresh.
+        # Lowering scratch, grown geometrically and sliced per plan.
         # ``_unit_data`` (per-dtype unit entries) and ``_unit_indptr``
         # (the 0..n ramp) are value-immutable by construction, so slices
-        # of them are shared freely between refreshed plans and their
-        # dtype casts; ``_row_scratch`` is only read during the
-        # csc -> csr conversion and reused by the next refresh.
+        # of them are shared freely between plans and their dtype casts;
+        # ``_row_scratch`` is only read during the csc -> csr conversion
+        # and reused by the next lowering.
         self._unit_data: Dict[str, np.ndarray] = {}
         self._unit_indptr = np.zeros(0, dtype=np.int32)
         self._row_scratch = np.zeros(0, dtype=np.int32)
@@ -485,15 +465,11 @@ class ScipySparseBackend(ExecutionBackend):
     def _lower_operators(self, plan_gs, num_inputs, num_outputs):
         """Canonical CSR lowering of a gather/scatter plan's flat arrays.
 
-        Both the cold :meth:`prepare` and the delta splice of
-        :meth:`refresh` lower through here, so a cold-prepared plan and
-        a spliced plan for the same rulebook hold array-for-array
-        identical operators (asserted in the test suite).  The gather
-        assembles directly from the offset-major ``in_rows``; the
-        scatter assembles through its trivial CSC form — one unit entry
-        per column, at the match's output row, columns ascending in
-        offset-major order — converted to sorted CSR in one C pass,
-        skipping the COO round-trip and the per-row index sort.
+        The gather assembles directly from the offset-major
+        ``in_rows``; the scatter assembles through its trivial CSC form
+        — one unit entry per column, at the match's output row, columns
+        ascending in offset-major order — converted to sorted CSR in one
+        C pass, skipping the COO round-trip and the per-row index sort.
 
         Returns ``None`` when the int32 index scratch cannot address
         ``total`` matches — callers fall back to
@@ -561,93 +537,6 @@ class ScipySparseBackend(ExecutionBackend):
         )
         scatter.sort_indices()  # offset-major accumulation order
         return gather, scatter
-
-    def refresh(self, old_rulebook, new_rulebook, delta) -> None:
-        """Splice ``delta`` into the cached CSR plan instead of re-lowering.
-
-        When the delta engine patched ``old_rulebook`` into
-        ``new_rulebook`` and this backend holds a warm
-        :class:`CsrExecPlan` for the old rulebook, the new plan is
-        derived from the patch's splice provenance instead of re-lowered
-        from scratch: the patcher already dropped/remapped the surviving
-        gather rows and scatter columns through the delta's monotone row
-        maps and merged in the locally re-matched pairs, handing over
-        the spliced flat arrays as a pre-seeded
-        :class:`~repro.nn.rulebook.GatherScatterPlan`.  From those the
-        CSR operators assemble canonically — the gather directly, the
-        scatter through its trivial CSC form (one unit entry per column,
-        columns already in offset-major order) converted to sorted CSR
-        in one C pass — skipping the strided rule re-extraction, the COO
-        round-trip, and the per-row index sort of an eager
-        :meth:`prepare`.  Per-dtype operator casts the old plan had
-        materialized are rebuilt over the shared index arrays.  The
-        result is bit-identical to a cold :meth:`prepare` of the patched
-        rulebook — asserted per precision in the test suite — at less
-        than half the re-lowering cost (``results/refresh_speedup.txt``).
-        Falls back to the eager base behaviour when there is nothing to
-        splice (degraded mode, no warm old plan, or a plain
-        :class:`CoordinateDelta` without splice provenance).
-        """
-        spliced = None if self.degraded else self._try_splice(
-            old_rulebook, new_rulebook, delta
-        )
-        if spliced is None:
-            super().refresh(old_rulebook, new_rulebook, delta)
-            return
-        self._store_plan(new_rulebook, spliced)
-        self.plans_refreshed += 1
-        self.plans_spliced += 1
-
-    def _try_splice(self, old_rulebook, new_rulebook, delta):
-        """The spliced :class:`CsrExecPlan`, or ``None`` to re-lower."""
-        if getattr(delta, "fresh_slots", None) is None:
-            return None  # plain CoordinateDelta: no splice provenance
-        plan_gs = new_rulebook._plan
-        if plan_gs is None:
-            return None  # no spliced plan arrays to lower from
-        cached = self._plans.get(id(old_rulebook))
-        if cached is None or cached[0] is not old_rulebook:
-            return None  # old plan not warm: nothing to refresh
-        old_plan = cached[1]
-        if not isinstance(old_plan, CsrExecPlan) or old_plan.scatter is None:
-            return None  # degraded-era or empty plan
-        total = plan_gs.total_matches
-        if total == 0:
-            return None  # trivial: eager re-lowering is already cheap
-        # The canonical lowering shared with prepare(): spliced and
-        # cold-prepared plans come out array-for-array identical.
-        operators = self._lower_operators(
-            plan_gs, new_rulebook.num_inputs, new_rulebook.num_outputs
-        )
-        if operators is None:
-            return None  # beyond the int32 scratch: re-lower eagerly
-        gather, scatter = operators
-        plan = CsrExecPlan(
-            backend=self.name,
-            total_matches=total,
-            segment_starts=plan_gs.segment_starts,
-            active_offsets=tuple(plan_gs.active_offsets),
-            gather=gather,
-            scatter=scatter,
-        )
-        # Carry the old plan's warmed per-dtype casts over, rebuilding
-        # each over the new index arrays with shared unit-entry buffers
-        # (the serving loop re-materializes them every frame otherwise).
-        for key in old_plan.casts:
-            dtype = np.dtype(key)
-            if dtype == gather.dtype:
-                plan.operators(dtype)  # base pair, no data rebuild
-                continue
-            with_data = getattr(gather, "_with_data", None)
-            if with_data is None:  # pragma: no cover - scipy API fallback
-                plan.operators(dtype)
-                continue
-            data = self._unit_entries(total, dtype)
-            plan.casts[key] = (
-                gather._with_data(data, copy=False),
-                scatter._with_data(data, copy=False),
-            )
-        return plan
 
     def execute(self, rulebook, in_features, weights, num_outputs, stats=None):
         if self.degraded:
@@ -765,13 +654,13 @@ class ScipySparseBackend(ExecutionBackend):
 
 
 # ----------------------------------------------------------------------
-# sharded — multiprocessing fan-out of run_batch digest groups
+# Digest-group fan-out state shared with the remote tier
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class GroupTask:
     """One ``run_batch`` digest group: shared site set, stacked features.
 
-    ``digest`` is the group's coordinate digest; the sharded backend
+    ``digest`` is the group's coordinate digest; a sharded backend
     routes on it so the same site set always lands on the same worker
     (whose plan cache is then warm for it).
     """
@@ -783,16 +672,14 @@ class GroupTask:
 
 
 class ShardSpecStore:
-    """Shared spec/plan-seeding state for sharded and remote backends.
+    """Spec/plan-seeding state of a sharded backend's workers.
 
-    Both process-pool and network fan-out speak the same contract — a
-    worker is warmed from one pickled ``(net, precision, quantization)``
-    blob, then executes digest groups against it — so the blob memo and
-    the record of which site sets a deployment has served live *outside*
-    any single backend.  Splitting this state out of
-    :class:`ShardedProcessBackend` (where PR 5 grew it) is what lets a
-    remote worker rejoin warm: the coordinator replays the current spec
-    blob plus the recorded plan seeds, and it is also the seam for
+    A worker is warmed from one pickled ``(net, precision,
+    quantization)`` blob, then executes digest groups against it, so the
+    blob memo and the record of which site sets a deployment has served
+    live *outside* any single connection.  That is what lets a remote
+    worker rejoin warm: the coordinator replays the current spec blob
+    plus the recorded plan seeds, and it is also the seam for
     zero-downtime weight swaps (a new blob is a new digest; workers keep
     serving the old spec until traffic moves).
 
@@ -916,276 +803,6 @@ class ShardSpecStore:
         self._seeds.clear()
 
 
-_WORKER_SESSION = None  # per-process warm session (set by the initializer)
-
-
-def _sharded_worker_init(spec_blob: bytes) -> None:
-    """Pool initializer: build this worker's warm private session.
-
-    The session (and with it the plan and rulebook caches) persists for
-    the lifetime of the worker process, so digest groups dispatched to
-    the same worker repeatedly pay the matching cost once.
-    """
-    global _WORKER_SESSION
-    from repro.engine.session import InferenceSession
-
-    net, precision, quantization = pickle.loads(spec_blob)
-    _WORKER_SESSION = InferenceSession(
-        net=net,
-        precision=precision,
-        quantization=quantization,
-        backend="numpy",
-    )
-
-
-def _sharded_worker_run(task: GroupTask) -> np.ndarray:
-    """Execute one digest group on this worker's warm session."""
-    from repro.sparse.coo import SparseTensor3D
-
-    template = SparseTensor3D(task.coords, task.features[0], task.shape)
-    frames = [template] + [
-        template.with_features(task.features[b])
-        for b in range(1, task.features.shape[0])
-    ]
-    outs = _WORKER_SESSION.run_batch(frames)
-    return np.stack([out.features for out in outs])
-
-
-class ShardedProcessBackend(ExecutionBackend):
-    """Fans ``run_batch`` digest groups across a multiprocessing pool.
-
-    Batch-level parallelism for the "millions of users" direction: each
-    digest group (frames sharing one site set) is an independent unit of
-    work, so groups are dispatched to worker processes, each of which
-    owns a warm private session executing the fused numpy engine.
-    Results are therefore bit-identical to local execution — the workers
-    run exactly the same code on exactly the same arrays.
-
-    Per-convolution :meth:`execute` / :meth:`execute_batch` calls
-    delegate to the fused engine in-process (sharding is a batch
-    strategy, not a kernel), so a sharded session's single-frame ``run``
-    matches the numpy backend exactly as well.
-
-    Groups are routed by coordinate digest: one single-process executor
-    per worker, with a stable ``digest -> worker`` mapping, so a
-    recurring site set always reaches the worker whose plan cache
-    already holds it (true per-worker warm state, not pool-random
-    assignment).  The workers are spawned lazily on the first group
-    dispatch and rebuilt if the serving network changes; :meth:`close`
-    terminates them.  A worker process that dies mid-dispatch (OOM
-    kill, segfault, operator ``kill -9``) is detected via the
-    executor's ``BrokenProcessPool``, its pool is rebuilt from the
-    stored spec blob, and the lost groups are retried once on the fresh
-    worker (counted in :attr:`pool_restarts`) — a second failure
-    propagates, because a group that kills two fresh workers is the
-    group's fault, not the pool's.
-
-    The pickled spec blob and the record of served site sets live in a
-    :class:`ShardSpecStore` (shared with the remote cluster backend of
-    :mod:`repro.runtime.cluster`), so worker state can be replayed
-    anywhere — a restarted pool here, a rejoining TCP worker there.
-    """
-
-    name = "sharded"
-
-    def __init__(
-        self,
-        num_workers: int = 2,
-        start_method: Optional[str] = None,
-        spec_store: Optional[ShardSpecStore] = None,
-    ) -> None:
-        super().__init__()
-        if num_workers < 1:
-            raise ValueError(f"num_workers must be >= 1, got {num_workers}")
-        self.num_workers = int(num_workers)
-        self.start_method = start_method
-        self._inner = NumpyFusedBackend()
-        self.spec_store = spec_store if spec_store is not None else ShardSpecStore()
-        self._pools: Optional[List[object]] = None
-        #: The spec blob the live pools were initialized with; a blob
-        #: change means the served network changed and the pools rebuild.
-        self._pools_blob: Optional[bytes] = None
-        # Observability: how many groups/frames were fanned out, and how
-        # many dead worker pools were rebuilt mid-stream.
-        self.groups_dispatched = 0
-        self.frames_dispatched = 0
-        self.pool_restarts = 0
-
-    def prepare(self, rulebook: Rulebook) -> ExecPlan:
-        return self._inner.prepare(rulebook)
-
-    def execute(self, rulebook, in_features, weights, num_outputs, stats=None):
-        return self._inner.execute(
-            rulebook, in_features, weights, num_outputs, stats=stats
-        )
-
-    def execute_batch(self, rulebook, stack, weights, num_outputs, stats=None):
-        return self._inner.execute_batch(
-            rulebook, stack, weights, num_outputs, stats=stats
-        )
-
-    @staticmethod
-    def _spec_fingerprint(net, precision: str, quantization) -> Tuple:
-        """Content key of one served spec (see :meth:`ShardSpecStore.fingerprint`)."""
-        return ShardSpecStore.fingerprint(net, precision, quantization)
-
-    def _spec_payload(self, net, precision: str, quantization) -> bytes:
-        """The memoized spec blob — delegates to the shared :class:`ShardSpecStore`."""
-        return self.spec_store.payload(net, precision, quantization)
-
-    def _make_pool(self, spec_blob: bytes) -> object:
-        """One addressable single-process executor, warm-started on the blob."""
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        method = self.start_method
-        if method is None:
-            # fork shares the parent image copy-on-write (cheap warm
-            # start on Linux); fall back to the platform default.
-            available = multiprocessing.get_all_start_methods()
-            method = "fork" if "fork" in available else None
-        context = multiprocessing.get_context(method)
-        return ProcessPoolExecutor(
-            max_workers=1,
-            mp_context=context,
-            initializer=_sharded_worker_init,
-            initargs=(spec_blob,),
-        )
-
-    def _ensure_pools(self, spec_blob: bytes) -> List[object]:
-        if self._pools is not None and spec_blob != self._pools_blob:
-            self._shutdown_pools()
-        if self._pools is None:
-            # One single-process executor per worker: digest-stable
-            # routing needs addressable workers, which a shared task
-            # queue cannot provide.  ProcessPoolExecutor (rather than
-            # multiprocessing.Pool) surfaces a killed worker as
-            # BrokenProcessPool instead of hanging the result fetch.
-            self._pools = [
-                self._make_pool(spec_blob) for _ in range(self.num_workers)
-            ]
-            self._pools_blob = spec_blob
-        return self._pools
-
-    def _rebuild_pool(self, index: int) -> None:
-        """Replace one dead worker executor from the stored spec blob."""
-        dead = self._pools[index]
-        try:
-            dead.shutdown(wait=False, cancel_futures=True)
-        except Exception:  # pragma: no cover - broken pools may refuse
-            pass
-        self._pools[index] = self._make_pool(self._pools_blob)
-        self.pool_restarts += 1
-
-    def _worker_index(self, task: GroupTask) -> int:
-        """Stable digest -> worker mapping (warm plan affinity)."""
-        digest = task.digest or task.coords.tobytes()
-        return int.from_bytes(digest[:8], "little") % self.num_workers
-
-    def run_groups(self, net, precision, quantization, groups):
-        """Dispatch :class:`GroupTask` items to their affine workers.
-
-        All groups are submitted asynchronously (groups mapped to
-        different workers execute concurrently), and results are
-        returned in submission order.  A worker process that died
-        (``BrokenProcessPool``) has its pool rebuilt from the stored
-        spec blob and the lost groups retried once on the fresh worker;
-        any other worker-side exception propagates unchanged.
-        """
-        from concurrent.futures.process import BrokenProcessPool
-
-        if not groups:
-            return []
-        pools = self._ensure_pools(
-            self._spec_payload(net, precision, quantization)
-        )
-        for task in groups:
-            self.spec_store.record_seed(
-                task.digest or task.coords.tobytes(), task.coords, task.shape
-            )
-        self.groups_dispatched += len(groups)
-        self.frames_dispatched += sum(
-            task.features.shape[0] for task in groups
-        )
-        pending: List[Optional[object]] = []
-        # Failure-handling control flow over a handful of groups, not a
-        # per-element numeric path.
-        for task in groups:  # repro-lint: disable=hot-path
-            try:
-                pending.append(
-                    pools[self._worker_index(task)].submit(
-                        _sharded_worker_run, task
-                    )
-                )
-            except BrokenProcessPool:
-                # The executor noticed the dead worker before we did:
-                # submit refuses outright.  Same recovery as a failed
-                # future.
-                pending.append(None)
-        results: List[Optional[np.ndarray]] = [None] * len(groups)
-        lost: List[int] = []
-        for position, future in enumerate(pending):  # repro-lint: disable=hot-path
-            if future is None:
-                lost.append(position)
-                continue
-            try:
-                results[position] = future.result()
-            except BrokenProcessPool:
-                lost.append(position)
-        if lost:
-            # Rebuild each affected worker once, then retry its groups.
-            # A retry that breaks the fresh pool too propagates: that
-            # group reliably kills workers, and masking it would retry
-            # forever.
-            rebuilt: set = set()
-            retried = []
-            for position in lost:  # repro-lint: disable=hot-path
-                index = self._worker_index(groups[position])
-                if index not in rebuilt:
-                    self._rebuild_pool(index)
-                    rebuilt.add(index)
-                retried.append(
-                    (
-                        position,
-                        self._pools[index].submit(
-                            _sharded_worker_run, groups[position]
-                        ),
-                    )
-                )
-            for position, future in retried:
-                results[position] = future.result()
-        return results
-
-    def capabilities(self) -> BackendCapabilities:
-        return BackendCapabilities(
-            name=self.name,
-            description=(
-                "digest groups fanned across a multiprocessing pool of "
-                "warm worker sessions"
-            ),
-            native_batch=True,
-            sharded=True,
-        )
-
-    def _shutdown_pools(self) -> None:
-        if self._pools is not None:
-            for pool in self._pools:
-                pool.shutdown(wait=True, cancel_futures=True)
-            self._pools = None
-            self._pools_blob = None
-
-    def close(self) -> None:
-        super().close()
-        self._shutdown_pools()
-        self.spec_store.clear()
-
-    def __del__(self) -> None:  # pragma: no cover - interpreter teardown
-        try:
-            self.close()
-        except Exception:
-            pass
-
-
 # ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
@@ -1227,7 +844,7 @@ def get_backend(name: str, **kwargs) -> ExecutionBackend:
     """Instantiate the backend registered under ``name``.
 
     ``kwargs`` are forwarded to the factory (e.g.
-    ``get_backend("sharded", num_workers=4)``).  Unknown names raise a
+    ``get_backend("remote", workers=fleet.addresses)``).  Unknown names raise a
     :class:`ValueError` listing what is registered.
     """
     factory = _REGISTRY.get(name)
@@ -1247,4 +864,3 @@ def get_backend(name: str, **kwargs) -> ExecutionBackend:
 
 register_backend("numpy", NumpyFusedBackend)
 register_backend("scipy", ScipySparseBackend)
-register_backend("sharded", ShardedProcessBackend)

@@ -25,9 +25,9 @@ the cache stack to incremental patching:
   (churn ratio at most ``threshold``) and patches instead of
   rebuilding, reporting hit / patch / rebuild statistics;
 * patch listeners (:meth:`DeltaRulebookCache.register_listener`) let
-  :class:`repro.engine.backend.ExecutionBackend` instances refresh
-  their prepared artifacts (gather/scatter plans, CSR operators)
-  incrementally instead of discarding warm state.
+  :class:`repro.engine.backend.ExecutionBackend` instances prepare the
+  patched rulebook's execution plan eagerly, so the next execute finds
+  it warm.
 
 Why bit-identity is achievable cheaply
 --------------------------------------
@@ -65,17 +65,6 @@ from repro.sparse.hashmap import pack_coords, unpack_coords
 #: rather than rebuilt.  At 25% churn a patch still touches a strict
 #: minority of the scene; beyond it a from-scratch pass is competitive.
 DEFAULT_DELTA_THRESHOLD = 0.25
-
-
-class DeltaUnsupportedError(ValueError):
-    """A rulebook kind/geometry the delta engine cannot patch.
-
-    Retained purely as a backward-compatible export: earlier revisions
-    raised it for overlapping strided geometries (``kernel_size !=
-    stride``), which are patchable now — a changed input voxel perturbs
-    at most ``ceil(kernel/stride)^3`` output cells, so existence updates
-    stay local.  No shipped code raises or catches it anymore.
-    """
 
 
 @dataclass(frozen=True)
@@ -170,53 +159,6 @@ def coordinate_delta(
     )
 
 
-@dataclass(frozen=True)
-class RulebookDelta(CoordinateDelta):
-    """A :class:`CoordinateDelta` enriched with rulebook splice provenance.
-
-    Produced by the patchers and stored on the patched rulebook
-    (``Rulebook._splice``); :meth:`DeltaRulebookCache.register_listener`
-    listeners receive it as the ``delta`` argument of ``refresh``, so it
-    stays a drop-in :class:`CoordinateDelta` for listeners that only
-    diff coordinates.  The extra fields let a backend splice its
-    prepared execution plan instead of re-lowering the patched rulebook:
-
-    ``out_map``
-        ``(old_num_outputs,)`` old output row -> new output row, ``-1``
-        where the output site vanished.  Equals :attr:`in_map` for
-        submanifold rulebooks; the downsampled-cell map for strided
-        ones.  Monotone increasing over surviving rows.
-    ``fresh_slots``
-        Per kernel offset, the sorted positions of the *freshly matched*
-        pairs inside the patched rulebook's rule array for that offset;
-        every other position holds a surviving (remapped) pair, in the
-        old per-offset order.
-    """
-
-    out_map: Optional[np.ndarray] = None
-    fresh_slots: Optional[Tuple[np.ndarray, ...]] = None
-
-    @property
-    def in_map(self) -> np.ndarray:
-        """Old input row -> new input row (alias of ``old_to_new``)."""
-        return self.old_to_new
-
-
-def _enrich(
-    delta: CoordinateDelta,
-    out_map: np.ndarray,
-    fresh_slots: List[np.ndarray],
-) -> RulebookDelta:
-    return RulebookDelta(
-        old_keys=delta.old_keys,
-        new_keys=delta.new_keys,
-        old_to_new=delta.old_to_new,
-        added_new_rows=delta.added_new_rows,
-        out_map=out_map,
-        fresh_slots=tuple(fresh_slots),
-    )
-
-
 # ----------------------------------------------------------------------
 # Pair splicing primitives
 # ----------------------------------------------------------------------
@@ -224,7 +166,6 @@ def _empty_rule() -> np.ndarray:
     return np.zeros((0, 2), dtype=np.int64)
 
 
-_NO_SLOTS = np.zeros(0, dtype=np.int64)
 _EMPTY_COL = np.zeros(0, dtype=np.int64)
 
 
@@ -259,22 +200,20 @@ def _merge_columns(
     fresh_in: np.ndarray,
     fresh_out: np.ndarray,
     key_col: int,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Merge kept and fresh pair columns sorted (and unique) on the key.
 
     The from-scratch builders emit at most one pair per key per offset
     (``key_col`` 0 = input row, 1 = output row), and kept/fresh key sets
     are disjoint (fresh pairs touch added voxels, kept pairs only stable
     ones), so a single vectorized sorted merge reproduces the
-    from-scratch rule exactly.  Returns ``(in_col, out_col,
-    fresh_slots)`` — the merged columns plus the slot positions the
-    fresh pairs landed on (the per-offset splice provenance carried by
-    :class:`RulebookDelta`).
+    from-scratch rule exactly.  Returns the merged ``(in_col,
+    out_col)``.
     """
     if len(fresh_in) == 0:
-        return kept_in, kept_out, _NO_SLOTS
+        return kept_in, kept_out
     if len(kept_in) == 0:
-        return fresh_in, fresh_out, np.arange(len(fresh_in), dtype=np.int64)
+        return fresh_in, fresh_out
     kept_key = kept_out if key_col else kept_in
     fresh_key = fresh_out if key_col else fresh_in
     positions = np.searchsorted(kept_key, fresh_key)
@@ -288,7 +227,7 @@ def _merge_columns(
     in_col[kept_mask] = kept_in
     out_col[slots] = fresh_out
     out_col[kept_mask] = kept_out
-    return in_col, out_col, slots
+    return in_col, out_col
 
 
 def _assemble_rules(
@@ -361,7 +300,6 @@ def patch_submanifold_rulebook(
     added_coords = new_coords[added]
     in_cols: List[np.ndarray] = []
     out_cols: List[np.ndarray] = []
-    fresh_slots: List[np.ndarray] = []
     # per-offset loop (K^3 iterations) splicing one rule list per offset;
     # each iteration is vectorized over all rows
     for k, offset in enumerate(old.offsets):  # repro-lint: disable=hot-path
@@ -395,12 +333,11 @@ def patch_submanifold_rulebook(
             order = np.argsort(fresh_out)
             fresh_in = fresh_in[order]
             fresh_out = fresh_out[order]
-        in_col, out_col, slots = _merge_columns(
+        in_col, out_col = _merge_columns(
             kept_in, kept_out, fresh_in, fresh_out, key_col=1
         )
         in_cols.append(in_col)
         out_cols.append(out_col)
-        fresh_slots.append(slots)
     rulebook = Rulebook(
         kernel_size=old.kernel_size,
         offsets=old.offsets,
@@ -409,7 +346,6 @@ def patch_submanifold_rulebook(
         num_outputs=delta.new_size,
     )
     _seed_plan(rulebook, in_cols, out_cols)
-    rulebook._splice = _enrich(delta, delta.old_to_new, fresh_slots)
     return rulebook
 
 
@@ -559,7 +495,6 @@ def patch_sparse_conv_rulebook(
     added_coords = new_coords[added]
     in_cols: List[np.ndarray] = []
     out_cols: List[np.ndarray] = []
-    fresh_slots: List[np.ndarray] = []
     # per-offset loop (K^3 iterations) splicing one rule list per offset;
     # each iteration is vectorized over all rows
     for k, offset in enumerate(old.offsets):  # repro-lint: disable=hot-path
@@ -575,13 +510,12 @@ def patch_sparse_conv_rulebook(
         cells = shifted[aligned] // stride
         out_rows = lookup_rows(down_keys, pack_coords(cells))
         valid = out_rows >= 0
-        in_col, out_col, slots = _merge_columns(
+        in_col, out_col = _merge_columns(
             kept_in, kept_out, added[aligned][valid], out_rows[valid],
             key_col=0,
         )
         in_cols.append(in_col)
         out_cols.append(out_col)
-        fresh_slots.append(slots)
     rulebook = Rulebook(
         kernel_size=old.kernel_size,
         offsets=old.offsets,
@@ -590,7 +524,6 @@ def patch_sparse_conv_rulebook(
         num_outputs=len(out_coords),
     )
     _seed_plan(rulebook, in_cols, out_cols)
-    rulebook._splice = _enrich(delta, out_map, fresh_slots)
     return rulebook, out_coords
 
 
@@ -674,9 +607,8 @@ class DeltaRulebookCache(RulebookCache):
     ``register_listener`` attaches objects with a
     ``refresh(old_rulebook, new_rulebook, delta)`` method — the
     :class:`repro.engine.backend.ExecutionBackend` plan-invalidation
-    hook — notified after every successful patch so prepared execution
-    artifacts follow the rulebook incrementally instead of being
-    discarded and rebuilt on first use.
+    hook — notified after every successful patch so the patched
+    rulebook's execution plan is prepared before its first use.
     """
 
     def __init__(
@@ -804,12 +736,6 @@ class DeltaRulebookCache(RulebookCache):
     def _notify(
         self, old: Rulebook, new: Rulebook, delta: CoordinateDelta
     ) -> None:
-        # Hand listeners the patcher's enriched RulebookDelta when the
-        # patched rulebook carries one: it subsumes the coordinate delta
-        # and lets backends splice prepared plans instead of re-lowering.
-        splice = getattr(new, "_splice", None)
-        if splice is not None:
-            delta = splice
         live = [ref for ref in self._listeners if ref() is not None]
         if len(live) != len(self._listeners):
             self._listeners = live

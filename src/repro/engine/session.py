@@ -38,9 +38,9 @@ so batched outputs are bit-identical to sequential ones.
 All numeric evaluation flows through the session's pluggable
 :class:`repro.engine.backend.ExecutionBackend` (``backend=`` /
 ``AcceleratorConfig.execution_backend``): the fused numpy engine by
-default, cached scipy CSR operators, or a sharded multiprocessing pool
-that fans digest groups across warm worker sessions — all bit-identical
-for every precision.  The asyncio serving front door
+default, cached scipy CSR operators, or the remote tier that fans
+digest groups across warm worker sessions — all bit-identical for every
+precision.  The asyncio serving front door
 (:mod:`repro.runtime.server`) sits on top of ``run_batch``.
 """
 
@@ -148,12 +148,8 @@ class SessionStats:
     delta_patches: int = 0
     delta_rebuilds: int = 0
     #: Backend plan-refresh accounting: every patched rulebook the
-    #: backend re-prepared (``plans_refreshed``), and the subset it
-    #: served by splicing the delta into the cached plan instead of
-    #: re-lowering from scratch (``plans_spliced`` — nonzero only for
-    #: backends with an incremental ``refresh``, e.g. ``scipy``).
+    #: backend eagerly re-prepared.
     plans_refreshed: int = 0
-    plans_spliced: int = 0
     #: Mapping-ops cache accounting (kNN / ball-query / FPS lookups
     #: routed through the session's :class:`MappingCache`; patch and
     #: rebuild counts are populated when the session runs a delta-
@@ -484,7 +480,7 @@ class InferenceSession:
         Injectable for sharing across sessions; fresh ones by default.
     backend:
         The execution backend evaluating rulebooks against features: a
-        registry name (``"numpy"``, ``"scipy"``, ``"sharded"``, or any
+        registry name (``"numpy"``, ``"scipy"``, ``"remote"``, or any
         :func:`repro.engine.backend.register_backend` entry) or a
         ready :class:`repro.engine.backend.ExecutionBackend` instance.
         Defaults to ``accelerator_config.execution_backend`` (itself
@@ -595,7 +591,6 @@ class InferenceSession:
         # make SessionStats report this session's era, and reset with
         # reset_stats like every other counter.
         self._plans_refreshed_base = getattr(backend, "plans_refreshed", 0)
-        self._plans_spliced_base = getattr(backend, "plans_spliced", 0)
         # Memoized parameter views: id(param) -> (param, derived arrays).
         # The param object is pinned in the value to keep ids stable.
         self._param_casts: Dict[int, Tuple[Parameter, np.ndarray]] = {}
@@ -645,8 +640,7 @@ class InferenceSession:
         )
         self._m_plan_refreshes = reg.counter(
             "repro_session_plan_refreshes_total",
-            "Backend plan refreshes: spliced in place vs re-lowered.",
-            labels=("outcome",),
+            "Backend plans eagerly re-prepared for patched rulebooks.",
         )
         self._m_dispatch = reg.histogram(
             "repro_session_dispatch_seconds",
@@ -673,11 +667,7 @@ class InferenceSession:
         delta.sync_to(snap.delta_rebuilds, cache="rulebook", event="rebuild")
         delta.sync_to(snap.mapping_patches, cache="mapping", event="patch")
         delta.sync_to(snap.mapping_rebuilds, cache="mapping", event="rebuild")
-        refreshes = self._m_plan_refreshes
-        refreshes.sync_to(snap.plans_spliced, outcome="spliced")
-        refreshes.sync_to(
-            snap.plans_refreshed - snap.plans_spliced, outcome="relowered"
-        )
+        self._m_plan_refreshes.sync_to(snap.plans_refreshed)
         self._m_frames.sync_to(snap.frames_run)
         self._m_batches.sync_to(snap.batches_run)
         self._m_estimates.sync_to(snap.estimates)
@@ -830,8 +820,6 @@ class InferenceSession:
             delta_rebuilds=delta_rebuilds,
             plans_refreshed=getattr(self.backend, "plans_refreshed", 0)
             - self._plans_refreshed_base,
-            plans_spliced=getattr(self.backend, "plans_spliced", 0)
-            - self._plans_spliced_base,
             mapping_hits=self.mapping_cache.hits,
             mapping_misses=self.mapping_cache.misses,
             mapping_patches=getattr(self.mapping_cache, "patches", 0),
@@ -848,7 +836,6 @@ class InferenceSession:
         self._estimates = 0
         self._simulations = 0
         self._plans_refreshed_base = getattr(self.backend, "plans_refreshed", 0)
-        self._plans_spliced_base = getattr(self.backend, "plans_spliced", 0)
         if self.registry.enabled:
             # Registry counters mirror the session era: a reset re-syncs
             # them to the zeroed snapshot rather than leaving stale totals.
@@ -977,11 +964,10 @@ class InferenceSession:
         outputs bit-identical to per-frame :meth:`run` calls.  Groups of
         one degenerate gracefully to single-frame execution.
 
-        With a sharded backend (``capabilities().sharded``) and more
-        than one digest group, whole groups are fanned out across the
-        backend's worker pool; each worker executes the fused numpy
-        engine in a warm private session, so results stay bit-identical
-        while groups run concurrently.
+        With a sharded backend (``capabilities().sharded``), whole groups
+        are fanned out across the backend's workers; each worker
+        executes the fused numpy engine in a warm private session, so
+        results stay bit-identical while groups run concurrently.
         """
         if not self.registry.enabled:
             return self._run_batch_impl(tensors)
@@ -1017,9 +1003,7 @@ class InferenceSession:
             groups.setdefault(key, []).append(index)
         results: List[Optional[SparseTensor3D]] = [None] * len(tensors)
         capabilities = self.backend.capabilities()
-        if capabilities.sharded and (
-            len(groups) > 1 or capabilities.offload_single_group
-        ):
+        if capabilities.sharded:
             self._run_batch_sharded(tensors, groups, results)
         else:
             for indices in groups.values():

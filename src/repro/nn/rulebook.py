@@ -93,12 +93,6 @@ class Rulebook:
     _transposed: Optional["Rulebook"] = field(
         default=None, repr=False, compare=False
     )
-    #: Patch provenance (a :class:`repro.engine.delta.RulebookDelta`) set
-    #: by the delta engine's patchers: which pairs were freshly matched
-    #: and how old rows map onto new ones.  Backends use it to splice
-    #: prepared execution plans instead of re-lowering; ``None`` on
-    #: from-scratch rulebooks.
-    _splice: Optional[object] = field(default=None, repr=False, compare=False)
 
     @property
     def total_matches(self) -> int:

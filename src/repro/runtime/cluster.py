@@ -1,12 +1,16 @@
 """Cluster coordinator: the ``remote`` execution backend over TCP workers.
 
-This module promotes the process-pool seam of
-:class:`repro.engine.backend.ShardedProcessBackend` to a cross-machine
-tier.  :class:`RemoteShardBackend` is a registered
+:class:`RemoteShardBackend` is a registered
 :class:`~repro.engine.backend.ExecutionBackend` (name ``"remote"``)
 whose :meth:`~RemoteShardBackend.run_groups` fans ``run_batch`` digest
 groups out to :mod:`repro.runtime.worker` processes over the
-:mod:`repro.runtime.wire` protocol:
+:mod:`repro.runtime.wire` protocol.  Each worker is a fresh ``python -m
+repro worker`` interpreter warmed from the pickled spec blob of
+:class:`~repro.engine.backend.ShardSpecStore`, so everything the blob
+carries must survive a pickle round trip into a process that shares
+no memory with the coordinator (the ``spawn-safety`` lint rule guards
+that boundary).
+
 
 * **Digest-affine routing via a consistent-hash ring.**  Each worker
   address owns ``replicas`` virtual points on a hash circle; a group
@@ -522,7 +526,6 @@ class RemoteShardBackend(ExecutionBackend):
             ),
             native_batch=True,
             sharded=True,
-            offload_single_group=True,
         )
 
     # ------------------------------------------------------------------

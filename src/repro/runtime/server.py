@@ -511,7 +511,6 @@ class SessionServer:
             run_batch_s=execute_s,
             plan_misses=post.plan_misses - pre.plan_misses,
             delta_patches=post.delta_patches - pre.delta_patches,
-            plans_spliced=post.plans_spliced - pre.plans_spliced,
         )
         trace.add_span("respond", exec_end_t - origin, respond_t - origin)
 

@@ -157,11 +157,8 @@ class FrameResult:
     #: Of this frame's ``rulebook_misses``, how many were served by
     #: incremental patching (only nonzero with a delta-enabled session).
     rulebook_patches: int = 0
-    #: Backend plans refreshed after this frame's patches, and the
-    #: subset spliced incrementally instead of re-lowered (nonzero only
-    #: for backends with an incremental ``refresh``, e.g. ``scipy``).
+    #: Backend plans eagerly re-prepared after this frame's patches.
     plan_refreshes: int = 0
-    plan_splices: int = 0
     matching_seconds: float = 0.0
     scatter_seconds: float = 0.0
 
@@ -250,10 +247,6 @@ class StreamStats:
     @property
     def plan_refreshes(self) -> int:
         return sum(frame.plan_refreshes for frame in self.frames)
-
-    @property
-    def plan_splices(self) -> int:
-        return sum(frame.plan_splices for frame in self.frames)
 
     @property
     def rulebook_hit_rate(self) -> float:
@@ -397,7 +390,6 @@ class StreamingRunner:
             patches_before = getattr(cache, "patches", 0)
             backend = session.backend
             refreshes_before = getattr(backend, "plans_refreshed", 0)
-            splices_before = getattr(backend, "plans_spliced", 0)
             matching_seconds = 0.0
             scatter_seconds = 0.0
             if self.detailed:
@@ -458,8 +450,6 @@ class StreamingRunner:
                     - patches_before,
                     plan_refreshes=getattr(backend, "plans_refreshed", 0)
                     - refreshes_before,
-                    plan_splices=getattr(backend, "plans_spliced", 0)
-                    - splices_before,
                     matching_seconds=matching_seconds,
                     scatter_seconds=scatter_seconds,
                 )

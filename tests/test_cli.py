@@ -87,7 +87,8 @@ def test_cli_unknown_backend_fails_fast_with_available_list(capsys):
         assert excinfo.value.code == 2  # argparse usage error, not a traceback
         err = capsys.readouterr().err
         assert "unknown execution backend 'cuda'" in err
-        assert "'numpy'" in err and "'scipy'" in err and "'sharded'" in err
+        assert "'numpy'" in err and "'scipy'" in err
+        assert "'sharded'" not in err
 
 
 def test_cli_backend_accepts_late_registered_backends(capsys):
@@ -127,8 +128,8 @@ def test_cli_stream_delta_reports_spliced_plans_on_scipy(capsys):
     ) == 0
     out = capsys.readouterr().out
     assert "plan refreshes:" in out
-    spliced = int(out.split("plan refreshes:")[1].split("(")[1].split()[0])
-    assert spliced > 0  # the scipy backend splices patched plans
+    refreshed = int(out.split("plan refreshes:")[1].split()[0])
+    assert refreshed > 0  # the scipy backend re-lowers patched plans
 
 
 def test_cli_stream_delta_threshold_validation():

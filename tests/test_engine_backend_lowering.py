@@ -1,17 +1,19 @@
-"""Canonical CSR lowering: one code path for cold prepare and splice.
+"""Canonical CSR lowering of :meth:`ScipySparseBackend.prepare`.
 
-PR satellite: :meth:`ScipySparseBackend.prepare` now lowers its
-operators through the same ``_lower_operators`` routine the delta
-splice of :meth:`ScipySparseBackend.refresh` uses (CSC -> sorted CSR in
-one conversion pass), so a cold-prepared plan and a spliced plan for
-the same rulebook are array-for-array identical — indptr, indices, and
-data, dtypes included — not merely numerically equivalent.
+``_lower_operators`` assembles the gather directly and the scatter
+through its trivial CSC form (CSC -> sorted CSR in one conversion
+pass).  The operators it emits are array-for-array identical — indptr,
+indices, and data, dtypes included — to the COO construction, and the
+plan of a delta-spliced rulebook (whose gather/scatter plan the patcher
+pre-seeds) lowers identically to that of a from-scratch rulebook.
 """
 
 import numpy as np
 import pytest
 
+from repro.engine import coordinate_delta
 from repro.engine.backend import ScipySparseBackend
+from repro.nn import build_submanifold_rulebook
 from tests.test_engine_backend import _assert_csr_plans_identical, _patched_pair
 
 
@@ -46,16 +48,18 @@ def test_cold_prepare_matches_coo_lowering():
 
 
 def test_cold_prepared_and_spliced_plans_identical():
-    """Satellite acceptance: cold prepare == delta splice, array for array."""
+    """The refreshed plan of a spliced rulebook equals the cold-prepared
+    plan of the from-scratch rulebook, array for array."""
     warm = _scipy_backend()
     cold = ScipySparseBackend()
-    _, _, old_rulebook, patched = _patched_pair()
-    warm.plan_for(old_rulebook)  # warm the old plan so refresh can splice
-    warm.refresh(old_rulebook, patched, patched._splice)
-    assert warm.plans_spliced == 1
-    spliced = warm.plan_for(patched)
-    prepared = cold.prepare(patched)
-    _assert_csr_plans_identical(spliced, prepared)
+    old, new, old_rulebook, patched = _patched_pair()
+    warm.plan_for(old_rulebook)
+    warm.refresh(
+        old_rulebook, patched, coordinate_delta(old.coords, new.coords)
+    )
+    assert warm.plans_refreshed == 1
+    prepared = cold.prepare(build_submanifold_rulebook(new, 3))
+    _assert_csr_plans_identical(warm.plan_for(patched), prepared)
 
 
 def test_cold_prepare_survives_missing_c_kernel(monkeypatch):

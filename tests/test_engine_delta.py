@@ -8,7 +8,6 @@ from repro.engine import (
     DEFAULT_DELTA_THRESHOLD,
     CoordinateDelta,
     DeltaRulebookCache,
-    DeltaUnsupportedError,
     InferenceSession,
     coordinate_delta,
     get_backend,
@@ -301,38 +300,6 @@ def test_patchers_preseed_gather_scatter_plan():
         assert_plans_identical(patched._plan, scratch.plan())
 
 
-def test_patched_rulebook_carries_splice_provenance():
-    from repro.engine import RulebookDelta
-
-    old = random_sparse_tensor(seed=17, nnz=80)
-    new = churned(old, remove=4, add=6, seed=18)
-    delta = coordinate_delta(old.coords, new.coords)
-    patched = patch_submanifold_rulebook(
-        build_submanifold_rulebook(old, 3), delta, new.shape,
-        new_coords=new.coords,
-    )
-    splice = patched._splice
-    assert isinstance(splice, RulebookDelta)
-    assert isinstance(splice, CoordinateDelta)  # drop-in for listeners
-    assert splice.in_map is delta.old_to_new
-    assert splice.out_map is delta.old_to_new  # submanifold: same sites
-    assert len(splice.fresh_slots) == len(patched.rules)
-    # Fresh slots + surviving pairs account for every merged pair.
-    old_rulebook = build_submanifold_rulebook(old, 3)
-    for k, slots in enumerate(splice.fresh_slots):
-        rule = old_rulebook.rules[k]
-        if len(rule):
-            mapped_in = delta.old_to_new[rule[:, 0]]
-            mapped_out = delta.old_to_new[rule[:, 1]]
-            survivors = int(((mapped_in >= 0) & (mapped_out >= 0)).sum())
-        else:
-            survivors = 0
-        assert survivors + len(slots) == len(patched.rules[k])
-
-
-# ----------------------------------------------------------------------
-# DeltaRulebookCache
-# ----------------------------------------------------------------------
 def test_delta_cache_patches_near_match_and_rebuilds_far_match():
     cache = DeltaRulebookCache(threshold=0.25)
     base = random_sparse_tensor(seed=20, shape=(20, 20, 20), nnz=200)
@@ -374,12 +341,6 @@ def test_delta_cache_patches_sparse_conv_including_overlapping():
     scratch3, scratch3_out = build_sparse_conv_rulebook(near, 3, 2)
     assert np.array_equal(patched_out, scratch3_out)
     assert_rulebooks_identical(patched, scratch3)
-
-
-def test_delta_unsupported_error_still_importable():
-    """Backward-compat: the exception class remains exported even though
-    no shipped patcher raises it anymore."""
-    assert issubclass(DeltaUnsupportedError, ValueError)
 
 
 def test_delta_cache_chains_patches_along_a_drift():
@@ -459,8 +420,6 @@ def test_delta_cache_notifies_backend_listener():
 def test_listener_registered_twice_notifies_once():
     """Satellite regression: duplicate registration must not double-fire
     ``refresh`` (which would double-count ``plans_refreshed``)."""
-    from repro.engine import RulebookDelta
-
     class SpyListener:
         def __init__(self):
             self.calls = 0
@@ -481,11 +440,10 @@ def test_listener_registered_twice_notifies_once():
     cache.submanifold(churned(base, 4, 4, seed=71), 3)
     assert cache.patches == 1
     assert spy.calls == 1  # exactly one notification per patch
-    # Listeners receive the enriched splice provenance, which is still a
-    # CoordinateDelta for consumers that only diff coordinates.
+    # Listeners receive the coordinate delta that drove the patch.
     old, new, delta = spy.last
-    assert isinstance(delta, RulebookDelta)
-    assert delta.out_map is not None and delta.fresh_slots is not None
+    assert isinstance(delta, CoordinateDelta)
+    assert delta.new_size == new.num_inputs
     # A session re-registering its backend on the shared cache is the
     # production shape of the same hazard.
     backend = get_backend("numpy")
@@ -610,13 +568,11 @@ def test_session_delta_stats_and_streaming_runner():
     assert stats.delta_patches > 0
     assert stats.delta_rebuilds > 0
     assert stats.matching_passes == stats.delta_patches + stats.delta_rebuilds
-    assert stats.plans_refreshed == stats.delta_patches  # eager numpy refresh
-    assert stats.plans_spliced == 0
+    assert stats.plans_refreshed == stats.delta_patches  # eager refresh
     session.reset_stats()
     assert session.stats.delta_patches == 0
     # Backend refresh counters are reported per stats era, like the rest.
     assert session.stats.plans_refreshed == 0
-    assert session.stats.plans_spliced == 0
 
     runner = StreamingRunner(resolution=24, delta=0.5)
     assert isinstance(runner.session.rulebook_cache, DeltaRulebookCache)
@@ -633,9 +589,8 @@ def test_streaming_runner_reports_patches_on_drifting_scene():
     per_frame = [f.rulebook_patches for f in stats.frames]
     assert per_frame[0] == 0  # nothing to patch from on the first frame
     assert sum(per_frame[1:]) == stats.rulebook_patches
-    # The numpy backend refreshes eagerly (no splice path).
+    # Every patched rulebook's plan is refreshed eagerly.
     assert stats.plan_refreshes == stats.rulebook_patches
-    assert stats.plan_splices == 0
 
 
 def test_streaming_runner_reports_spliced_plans_on_scipy_backend():
@@ -646,13 +601,11 @@ def test_streaming_runner_reports_spliced_plans_on_scipy_backend():
     )
     stats = runner.run(source)
     assert stats.rulebook_patches > 0
-    # Every patched rulebook's plan was spliced: execute_reference keeps
-    # the previous frame's plan warm in the backend memo.
-    assert stats.plan_splices == stats.rulebook_patches
-    assert stats.plan_refreshes == stats.plan_splices
-    per_frame = [f.plan_splices for f in stats.frames]
+    # Every spliced rulebook's CSR plan was re-lowered eagerly.
+    assert stats.plan_refreshes == stats.rulebook_patches
+    per_frame = [f.plan_refreshes for f in stats.frames]
     assert per_frame[0] == 0
-    assert sum(per_frame) == stats.plan_splices
+    assert sum(per_frame) == stats.plan_refreshes
 
 
 # ----------------------------------------------------------------------

@@ -238,21 +238,28 @@ def test_cache_lru_eviction():
     assert cache.misses == 4
 
 
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")
 def test_explicit_cache_none_disables_attached_cache():
-    from repro.nn import SubmanifoldConv3d
+    from repro.nn import SSUNet, SubmanifoldConv3d, UNetConfig
 
     tensor = random_sparse_tensor(seed=28, nnz=20, channels=2)
     cache = RulebookCache()
     layer = SubmanifoldConv3d(2, 3, rng=np.random.default_rng(29))
-    layer.use_rulebook_cache(cache)
-    layer(tensor)
+    layer(tensor, cache=cache)
     assert cache.lookups == 1
-    # cache=None must bypass the attached cache for this call only.
+    # cache=None must bypass caching for this call only.
     layer(tensor, cache=None)
     assert cache.lookups == 1
-    layer(tensor)
+    layer(tensor, cache=cache)
     assert cache.lookups == 2 and cache.hits == 1
+    # The same keyword overrides a cache attached at construction.
+    attached = RulebookCache()
+    cfg = UNetConfig(in_channels=2, num_classes=3, base_channels=4, levels=2)
+    net = SSUNet(cfg, rulebook_cache=attached)
+    net(tensor)
+    lookups = attached.lookups
+    assert lookups > 0
+    net(tensor, cache=None)
+    assert attached.lookups == lookups
 
 
 def test_cache_validates_capacity():

@@ -141,7 +141,7 @@ def test_cluster_parity_cold_and_warm(fleet, precision):
 
 
 def test_cluster_serves_single_group_batches(remote_backend):
-    # offload_single_group: even a one-digest batch goes off-box.
+    # A sharded backend takes every batch, even a one-digest one, off-box.
     requests = [frame(5), frame(5)]
     reference = InferenceSession(unet_config=SMALL_CFG)
     expected = [out.features for out in reference.run_batch(requests)]
@@ -224,6 +224,29 @@ def test_weight_swap_spec_sync(fleet):
             assert report["specs"] == [digest_b.hex()]
     finally:
         backend.close()
+
+
+def test_same_geometry_weight_swap_reaches_workers(remote_backend):
+    """Serving a different net of the same geometry through a live
+    backend must reach the workers, even when the first net has died
+    and its id may be recycled."""
+    import gc
+    from dataclasses import replace
+
+    requests = request_mix(4)
+
+    def serve_round(seed):
+        net = SSUNet(replace(SMALL_CFG, seed=seed))
+        session = InferenceSession(net=net, backend=remote_backend)
+        return [out.features for out in session.run_batch(requests)]
+
+    first = serve_round(7)
+    gc.collect()  # round 1's net dies; its id may be recycled
+    second = serve_round(8)
+    reference = InferenceSession(net=SSUNet(replace(SMALL_CFG, seed=8)))
+    for got, want in zip(second, reference.run_batch(requests)):
+        assert np.array_equal(got, want.features)
+    assert any(not np.array_equal(a, b) for a, b in zip(first, second))
 
 
 def test_remote_backend_validation_and_close_idempotent(fleet):
