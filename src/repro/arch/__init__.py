@@ -21,7 +21,13 @@ Subpackages map one-to-one onto Fig. 9 of the paper:
 """
 
 from repro.arch.config import AcceleratorConfig, SdmuTiming
-from repro.arch.tiling import Tile, TileGrid, ZeroRemovalResult, ZeroRemover
+from repro.arch.tiling import (
+    Tile,
+    TileGrid,
+    ZeroRemovalResult,
+    ZeroRemover,
+    count_active_tiles,
+)
 from repro.arch.encoding import ColumnStore, EncodedFeatureMap, IndexMask
 from repro.arch.sdmu import Match, MatchGroup, Sdmu
 from repro.arch.computing_core import ComputingCore, OutputWriter
@@ -65,6 +71,7 @@ __all__ = [
     "TileGrid",
     "ZeroRemover",
     "ZeroRemovalResult",
+    "count_active_tiles",
     "IndexMask",
     "ColumnStore",
     "EncodedFeatureMap",

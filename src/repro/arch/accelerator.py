@@ -29,6 +29,7 @@ from repro.arch.overhead import (
 )
 from repro.arch.host import HostExecutionModel, HostLayerRun
 from repro.arch.sdmu import Sdmu
+from repro.arch.tiling import count_active_tiles
 from repro.nn.init import conv_weight
 from repro.nn.functional import normalize_weights
 from repro.nn.rulebook import build_submanifold_rulebook, get_submanifold_rulebook
@@ -609,11 +610,14 @@ class AnalyticalModel:
         )
 
     def scanned_positions(self, tensor: SparseTensor3D) -> int:
-        """Positions the SDMU scans under the zero-removing tiling."""
-        encoded = EncodedFeatureMap(
-            tensor, self.config.tile_shape, kernel_size=self.config.kernel_size
-        )
-        return encoded.grid.scanned_positions()
+        """Positions the SDMU scans under the zero-removing tiling.
+
+        Equals ``TileGrid(tensor, tile_shape).scanned_positions()``,
+        counted from packed tile keys without building the grid.
+        """
+        tile = self.config.tile_shape
+        active = count_active_tiles(tensor.coords, tile)
+        return active * tile[0] * tile[1] * tile[2]
 
     def workload_statistics(
         self, tensor: SparseTensor3D, cache=None

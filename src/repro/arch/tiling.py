@@ -16,8 +16,29 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.sparse.coo import SparseTensor3D
+from repro.sparse.hashmap import pack_coords, unpack_coords
 
 TileIndex = Tuple[int, int, int]
+
+
+def _tile_keys(coords: np.ndarray, tile_shape: Tuple[int, int, int]) -> np.ndarray:
+    """Packed key of the tile holding each site (``coords // tile_shape``).
+
+    Key order is tile scan order: x-major, then y, then z.
+    """
+    tile_arr = np.asarray(tile_shape, dtype=np.int64)
+    return pack_coords(np.asarray(coords, dtype=np.int64) // tile_arr)
+
+
+def count_active_tiles(
+    coords: np.ndarray, tile_shape: Tuple[int, int, int]
+) -> int:
+    """Number of tiles holding at least one site.
+
+    Equals ``TileGrid(tensor, tile_shape).num_active_tiles`` for a tensor
+    with these coordinates, without building the grid.
+    """
+    return int(np.unique(_tile_keys(coords, tile_shape)).size)
 
 
 @dataclass(frozen=True)
@@ -65,14 +86,12 @@ class TileGrid:
         self.grid_dims = tuple(
             -(-tensor.shape[axis] // self.tile_shape[axis]) for axis in range(3)
         )
-        tile_arr = np.asarray(self.tile_shape, dtype=np.int64)
-        if tensor.nnz:
-            tile_of_site = tensor.coords // tile_arr[None, :]
-        else:
-            tile_of_site = np.zeros((0, 3), dtype=np.int64)
         self._tiles: Dict[TileIndex, Tile] = {}
-        if len(tile_of_site):
-            unique, inverse = np.unique(tile_of_site, axis=0, return_inverse=True)
+        if tensor.nnz:
+            keys, inverse = np.unique(
+                _tile_keys(tensor.coords, self.tile_shape), return_inverse=True
+            )
+            unique = unpack_coords(keys)
             order = np.argsort(inverse, kind="stable")
             boundaries = np.searchsorted(inverse[order], np.arange(len(unique)))
             boundaries = np.append(boundaries, len(inverse))

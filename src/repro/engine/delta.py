@@ -393,7 +393,8 @@ def _strided_candidate_cells(
             cells.append(q[valid])
     if not cells:
         return np.zeros(0, dtype=np.int64)
-    return np.unique(pack_coords(np.concatenate(cells, axis=0)))
+    keys = pack_coords(np.concatenate(cells, axis=0))
+    return np.unique(keys)
 
 
 def _patched_down_keys(
@@ -415,8 +416,8 @@ def _patched_down_keys(
     per kernel offset over the (few) affected cells.
     """
     if kernel_size == stride:
-        # pack order equals lexicographic row order, so this reproduces
-        # np.unique(coords // stride, axis=0) at int64-sort speed.
+        # pack order equals lexicographic row order, so this is the
+        # sorted unique row set of coords // stride at int64-sort speed.
         return np.unique(pack_coords(new_coords // stride))
     added_coords = new_coords[delta.added_new_rows]
     removed_coords = unpack_coords(delta.old_keys[delta.old_to_new < 0])

@@ -61,7 +61,6 @@ from repro.arch.accelerator import (
 from repro.arch.config import AcceleratorConfig
 from repro.arch.host import HostExecutionModel, HostLayerRun
 from repro.arch.overhead import SystemOverheadModel, layer_transfer_volume
-from repro.arch.tiling import TileGrid
 from repro.engine.backend import (
     ExecutionBackend,
     GroupTask,
@@ -273,25 +272,23 @@ class ScalePlan:
     down_coords: Optional[np.ndarray] = None
     down_kernel: int = 0
     down_stride: int = 0
-    _encoding_memo: Dict[Hashable, Tuple[int, int]] = field(
-        default_factory=dict, repr=False
-    )
+    _scanned_memo: Dict[Hashable, int] = field(default_factory=dict, repr=False)
 
     @property
     def nnz(self) -> int:
         return self.template.nnz
 
-    def encoding_statistics(
-        self, config: AcceleratorConfig, analytical: AnalyticalModel
-    ) -> Tuple[int, int]:
-        """Memoized ``(scanned_positions, mask_bits)`` for ``config``."""
-        key = (config.tile_shape, config.kernel_size)
-        if key not in self._encoding_memo:
-            scanned = analytical.scanned_positions(self.template)
-            tiles = TileGrid(self.template, config.tile_shape)
-            mask_bits = tiles.num_active_tiles * tiles.tile_volume()
-            self._encoding_memo[key] = (scanned, mask_bits)
-        return self._encoding_memo[key]
+    def scanned_positions(self, analytical: AnalyticalModel) -> int:
+        """Memoized SDMU scan count of this scale under ``analytical``'s tiling.
+
+        It is also the layer's mask-buffer size in bits: the mask holds
+        one bit per position of every active tile, exactly the positions
+        the SDMU scans.
+        """
+        key = analytical.config.tile_shape
+        if key not in self._scanned_memo:
+            self._scanned_memo[key] = analytical.scanned_positions(self.template)
+        return self._scanned_memo[key]
 
 
 @dataclass
@@ -1268,7 +1265,7 @@ class InferenceSession:
     ) -> LayerEstimate:
         cfg = self.accelerator_config
         rulebook = scale.sub_rulebooks[layer.kernel_size]
-        scanned, mask_bits = scale.encoding_statistics(cfg, self.analytical)
+        scanned = scale.scanned_positions(self.analytical)
         cycles = self.analytical.estimate_cycles(
             scanned, rulebook.total_matches, layer.in_channels, layer.out_channels
         )
@@ -1279,7 +1276,7 @@ class InferenceSession:
             in_channels=layer.in_channels,
             out_channels=layer.out_channels,
             kernel_volume=layer.kernel_size ** 3,
-            mask_bits=mask_bits,
+            mask_bits=scanned,
             weight_bits=cfg.weight_bits,
             activation_bits=cfg.activation_bits,
         )

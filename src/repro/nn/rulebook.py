@@ -19,7 +19,7 @@ from typing import Hashable, List, Optional, Tuple
 import numpy as np
 
 from repro.sparse.coo import SparseTensor3D
-from repro.sparse.hashmap import pack_coords
+from repro.sparse.hashmap import pack_coords, unpack_coords
 
 
 def kernel_offsets(kernel_size: int, center: bool = True) -> np.ndarray:
@@ -184,10 +184,6 @@ def lookup_rows(sorted_keys: np.ndarray, query_keys: np.ndarray) -> np.ndarray:
     return np.where(found, idx, -1)
 
 
-#: Backwards-compatible private alias (pre-delta-engine name).
-_lookup_rows = lookup_rows
-
-
 def build_submanifold_rulebook(
     tensor: SparseTensor3D, kernel_size: int = 3
 ) -> Rulebook:
@@ -212,7 +208,7 @@ def build_submanifold_rulebook(
         in_bounds = np.all((neighbor >= 0) & (neighbor < shape[None, :]), axis=1)
         rows = np.full(len(coords), -1, dtype=np.int64)
         if in_bounds.any():
-            rows[in_bounds] = _lookup_rows(keys, pack_coords(neighbor[in_bounds]))
+            rows[in_bounds] = lookup_rows(keys, pack_coords(neighbor[in_bounds]))
         valid = rows >= 0
         rules.append(
             np.stack([rows[valid], out_rows_all[valid]], axis=1).astype(np.int64)
@@ -236,8 +232,7 @@ def downsampled_coords(
     ``K == stride`` downsampling this is just ``unique(p // stride)``.
     """
     if kernel_size == stride:
-        down = coords // stride
-        return np.unique(down, axis=0)
+        return unpack_coords(np.unique(pack_coords(coords // stride)))
     if not len(coords):
         return np.zeros((0, 3), dtype=np.int64)
     # An input p activates q = p // stride - s per axis for the shifts s
@@ -256,7 +251,8 @@ def downsampled_coords(
             cells.append(q[valid])
     if not cells:
         return np.zeros((0, 3), dtype=np.int64)
-    return np.unique(np.concatenate(cells, axis=0), axis=0)
+    keys = pack_coords(np.concatenate(cells, axis=0))
+    return unpack_coords(np.unique(keys))
 
 
 def build_sparse_conv_rulebook(
@@ -284,7 +280,7 @@ def build_sparse_conv_rulebook(
         shifted = coords - offset[None, :]
         aligned = np.all(shifted % stride == 0, axis=1) & np.all(shifted >= 0, axis=1)
         q = shifted[aligned] // stride
-        rows = _lookup_rows(out_keys, pack_coords(q)) if len(q) else np.zeros(0, np.int64)
+        rows = lookup_rows(out_keys, pack_coords(q)) if len(q) else np.zeros(0, np.int64)
         valid = rows >= 0
         rules.append(
             np.stack(

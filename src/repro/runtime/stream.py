@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.arch.config import AcceleratorConfig
 from repro.arch.overhead import SystemOverheadModel, layer_transfer_volume
-from repro.arch.tiling import TileGrid
+from repro.arch.tiling import count_active_tiles
 from repro.engine.session import InferenceSession
 from repro.geometry.point_cloud import PointCloud
 from repro.geometry.synthetic import make_shapenet_like_cloud
@@ -385,7 +385,7 @@ class StreamingRunner:
         cache = self.rulebook_cache
         for frame_id, cloud in enumerate(source):
             tensor = self._frame_tensor(cloud, rng)
-            tiles = TileGrid(tensor, self.config.tile_shape)
+            active_tiles = count_active_tiles(tensor.coords, self.config.tile_shape)
             hits_before, misses_before = cache.hits, cache.misses
             patches_before = getattr(cache, "patches", 0)
             backend = session.backend
@@ -417,7 +417,7 @@ class StreamingRunner:
                     in_channels=self.in_channels,
                     out_channels=self.out_channels,
                     kernel_volume=self.config.kernel_size ** 3,
-                    mask_bits=tiles.num_active_tiles * tiles.tile_volume(),
+                    mask_bits=scanned,
                     weight_bits=self.config.weight_bits,
                     activation_bits=self.config.activation_bits,
                 )
@@ -439,7 +439,7 @@ class StreamingRunner:
                 FrameResult(
                     frame_id=frame_id,
                     nnz=tensor.nnz,
-                    active_tiles=tiles.num_active_tiles,
+                    active_tiles=active_tiles,
                     matches=matches,
                     core_seconds=core_seconds,
                     total_seconds=total_seconds,

@@ -5,6 +5,10 @@ voxelizer produces one, the sparse-NN reference transforms them, and the
 accelerator encoder consumes them.  Coordinates are unique ``(x, y, z)``
 integer triples inside a bounded ``shape``; each coordinate carries a
 ``(C,)`` feature vector.
+
+Coordinates are canonicalized by their packed ``int64`` key
+(:func:`repro.sparse.hashmap.pack_coords`): sorting, deduplication and
+duplicate detection all run on one integer per site instead of on rows.
 """
 
 from __future__ import annotations
@@ -14,7 +18,24 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.sparse.hashmap import pack_coords, unpack_coords
+
 Coord = Tuple[int, int, int]
+
+
+def _checked_shape(coords: np.ndarray, shape) -> Tuple[int, int, int]:
+    """Validate ``(N, 3)`` coords against ``shape``; return the int shape."""
+    if coords.ndim != 2 or coords.shape[1] != 3:
+        raise ValueError(f"coords must be (N, 3), got {coords.shape}")
+    if len(shape) != 3 or any(int(s) <= 0 for s in shape):
+        raise ValueError(f"shape must be three positive extents, got {shape}")
+    shape = (int(shape[0]), int(shape[1]), int(shape[2]))
+    if coords.size:
+        if coords.min() < 0:
+            raise ValueError("coordinates must be non-negative")
+        if (coords >= np.asarray(shape, dtype=np.int64)).any():
+            raise ValueError("coordinates out of bounds for shape")
+    return shape
 
 
 class SparseTensor3D:
@@ -30,6 +51,12 @@ class SparseTensor3D:
     shape:
         Bounds ``(X, Y, Z)``; every coordinate must satisfy
         ``0 <= coord < shape`` per axis.
+
+    Rows are stored in ascending packed-key order
+    (:func:`repro.sparse.hashmap.pack_coords`, x most significant), which
+    is lexicographic ``(x, y, z)`` order.  Packing gives each axis 21
+    bits, so coordinates are limited to ``[0, 2**21)`` per axis — the
+    limit rulebook matching has always had.
     """
 
     def __init__(
@@ -41,8 +68,7 @@ class SparseTensor3D:
         coords = np.asarray(coords, dtype=np.int64)
         if coords.size == 0:
             coords = coords.reshape(0, 3)
-        if coords.ndim != 2 or coords.shape[1] != 3:
-            raise ValueError(f"coords must be (N, 3), got {coords.shape}")
+        shape = _checked_shape(coords, shape)
         features = np.asarray(features)
         if features.ndim == 1:
             features = features.reshape(-1, 1)
@@ -54,29 +80,22 @@ class SparseTensor3D:
             raise ValueError(
                 f"coords ({len(coords)}) and features ({len(features)}) disagree"
             )
-        if len(shape) != 3 or any(int(s) <= 0 for s in shape):
-            raise ValueError(f"shape must be three positive extents, got {shape}")
-        shape = (int(shape[0]), int(shape[1]), int(shape[2]))
-        if coords.size:
-            if coords.min() < 0:
-                raise ValueError("coordinates must be non-negative")
-            if (coords >= np.asarray(shape, dtype=np.int64)).any():
-                raise ValueError("coordinates out of bounds for shape")
 
-        order = np.lexsort((coords[:, 2], coords[:, 1], coords[:, 0]))
+        keys = pack_coords(coords)
+        order = np.argsort(keys, kind="stable")
         self.coords = np.ascontiguousarray(coords[order])
         self.features = np.ascontiguousarray(features[order])
         self.shape = shape
 
-        # Coordinates are sorted, so duplicates are adjacent — detected
+        # Keys are sorted, so duplicates are adjacent — detected
         # vectorized here; the per-coordinate lookup dict is built lazily
         # (constructing one per tensor made with_features a hot-path cost).
-        if len(self.coords) > 1:
-            repeated = np.all(self.coords[1:] == self.coords[:-1], axis=1)
-            if repeated.any():
-                row = int(np.argmax(repeated)) + 1
-                key = tuple(int(v) for v in self.coords[row])
-                raise ValueError(f"duplicate coordinate {key}")
+        keys = keys[order]
+        repeated = keys[1:] == keys[:-1]
+        if repeated.any():
+            row = int(np.argmax(repeated)) + 1
+            key = tuple(int(v) for v in self.coords[row])
+            raise ValueError(f"duplicate coordinate {key}")
         self._index: Optional[Dict[Coord, int]] = None
         self._coords_digest: Optional[bytes] = None
 
@@ -166,6 +185,8 @@ class SparseTensor3D:
         ``"sum"`` or ``"max"``).  ``features=None`` assigns a single
         occupancy channel of ones.
         """
+        if reduce not in ("mean", "sum", "max"):
+            raise ValueError(f"unknown reduce {reduce!r}")
         coords = np.asarray(coords, dtype=np.int64)
         if coords.size == 0:
             empty = np.zeros((0, 1 if features is None else np.asarray(features).shape[-1]))
@@ -175,10 +196,16 @@ class SparseTensor3D:
         features = np.asarray(features, dtype=np.float64)
         if features.ndim == 1:
             features = features.reshape(-1, 1)
-        if reduce not in ("mean", "sum", "max"):
-            raise ValueError(f"unknown reduce {reduce!r}")
+        if len(features) != len(coords):
+            raise ValueError(
+                f"coords ({len(coords)}) and features ({len(features)}) disagree"
+            )
+        # Bounds are checked before packing so out-of-range input gets
+        # the constructor's messages, not the packer's.
+        _checked_shape(coords, shape)
 
-        unique, inverse = np.unique(coords, axis=0, return_inverse=True)
+        unique_keys, inverse = np.unique(pack_coords(coords), return_inverse=True)
+        unique = unpack_coords(unique_keys)
         channels = features.shape[1]
         accum = np.zeros((len(unique), channels), dtype=np.float64)
         if reduce == "max":
