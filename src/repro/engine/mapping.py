@@ -88,28 +88,52 @@ def as_point_array(points) -> np.ndarray:
     """Coerce a point set (array or sparse tensor) to ``(N, 3)`` float rows.
 
     Integer voxel coordinates widen to float64, which represents the
-    packable 21-bit range (and its squared distances) exactly.
+    packable 21-bit range (and its squared distances) exactly.  Float
+    coordinates must be finite: a NaN or inf distance has no ordering
+    the bucket kernels and the brute-force references could agree on.
     """
     pts = np.asarray(getattr(points, "coords", points))
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"expected (N, 3) points, got shape {pts.shape}")
     if pts.dtype.kind != "f":
         pts = pts.astype(np.float64)
+    elif not np.isfinite(pts).all():
+        raise ValueError("point coordinates must be finite (got NaN or inf)")
     return np.ascontiguousarray(pts)
 
 
+def _columns(points: np.ndarray) -> np.ndarray:
+    """``(3, N)`` contiguous per-axis rows of an ``(N, 3)`` point array."""
+    return np.ascontiguousarray(points.T)
+
+
+def _sum_squares(diff: np.ndarray) -> np.ndarray:
+    """``(dx*dx + dy*dy) + dz*dz`` over the leading axis of a ``(3, ...)``
+    difference array, evaluated in place; returns a view of ``diff[0]``.
+
+    This left-to-right expression is the one squared distance every
+    kernel and every ``*_bruteforce`` reference evaluates, so their
+    results agree bit for bit.
+    """
+    np.multiply(diff, diff, out=diff)
+    total = np.add(diff[0], diff[1], out=diff[0])
+    return np.add(total, diff[2], out=total)
+
+
 def _pair_distances(
-    queries: np.ndarray, qidx: np.ndarray, points: np.ndarray, cand: np.ndarray
+    qcols: np.ndarray, qidx: np.ndarray, pcols: np.ndarray, cand: np.ndarray
 ) -> np.ndarray:
-    """Squared distances for candidate pairs, elementwise-identical to
-    :func:`_distance_matrix` so bucket and brute-force paths agree bitwise."""
-    diff = queries[qidx] - points[cand]
-    return (diff * diff).sum(axis=1)
+    """Squared distances for candidate pairs, gathered from the
+    :func:`_columns` of the queries and of the points."""
+    diff = np.take(qcols, qidx, axis=1)
+    np.subtract(diff, np.take(pcols, cand, axis=1), out=diff)
+    return _sum_squares(diff)
 
 
 def _distance_matrix(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
-    diff = queries[:, None, :] - points[None, :, :]
-    return (diff * diff).sum(axis=2)
+    """Dense ``(Q, N)`` squared distances between two point arrays."""
+    qcols, pcols = _columns(queries), _columns(points)
+    return _sum_squares(qcols[:, :, None] - pcols[:, None, :])
 
 
 def _cube_offsets(radius: int) -> np.ndarray:
@@ -203,38 +227,42 @@ def _gather_candidates(
     if num_queries == 0 or grid.num_cells == 0 or len(offsets) == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
-    cells = (centers[:, None, :] + offsets[None, :, :]).reshape(-1, 3)
-    inside = ((cells >= 0) & (cells < grid.ncells[None, :])).all(axis=1)
-    keys = np.full(len(cells), -1, dtype=np.int64)
-    keys[inside] = pack_coords(cells[inside])
-    pos = np.searchsorted(grid.cell_keys, keys)
-    pos = np.minimum(pos, grid.num_cells - 1)
-    found = inside & (grid.cell_keys[pos] == keys)
-    bucket_start = np.where(found, grid.starts[pos], 0)
-    counts = np.where(found, grid.starts[pos + 1], 0) - bucket_start
+    inside = np.ones((num_queries, len(offsets)), dtype=bool)
+    for axis in range(3):
+        cell = np.add.outer(centers[:, axis], offsets[:, axis])
+        inside &= (cell >= 0) & (cell < grid.ncells[axis])
+    # Packing is linear in each axis, so an in-grid cell's key is its
+    # center's key plus the offset's (signed) packed step.
+    steps = offsets @ pack_coords(np.eye(3, dtype=np.int64))
+    keys = np.where(inside, np.add.outer(pack_coords(centers), steps), -1).ravel()
+    pos = np.minimum(np.searchsorted(grid.cell_keys, keys), grid.num_cells - 1)
+    found = np.take(grid.cell_keys, pos) == keys
+    bucket_start = np.where(found, np.take(grid.starts, pos), 0)
+    counts = np.where(found, np.take(grid.starts, pos + 1), 0) - bucket_start
     total = int(counts.sum())
     if total == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
     per_query = counts.reshape(num_queries, -1).sum(axis=1)
     qidx = np.repeat(np.arange(num_queries, dtype=np.int64), per_query)
-    seg_starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    within = np.arange(total, dtype=np.int64) - np.repeat(seg_starts, counts)
-    cand = grid.order[np.repeat(bucket_start, counts) + within]
-    return qidx, cand
+    seg_starts = np.cumsum(counts) - counts
+    slots = np.repeat(bucket_start - seg_starts, counts) + np.arange(total)
+    return qidx, np.take(grid.order, slots)
 
 
-def _knn_cell_size(points: np.ndarray, k: int) -> float:
-    """Cell size targeting O(k) points per 27-cell neighborhood.
+def _knn_grid(points: np.ndarray, k: int) -> _BucketGrid:
+    """Bucket grid whose cell size targets O(k) points per 27-cell
+    neighborhood.
 
     One density estimate from the bounding box, then a bounded number of
     refinements against the *measured* bucket population so lower-
-    dimensional clouds (surfaces, lines) converge too.
+    dimensional clouds (surfaces, lines) converge too.  The last grid
+    built while measuring is returned when its size is the final one.
     """
     extent = points.max(axis=0) - points.min(axis=0)
     span = float(extent.max())
     if span <= 0.0:
-        return 1.0
+        return _build_grid(points, 1.0)
     floor_size = span / float(_max_cells(points.dtype))
     volume = float(np.prod(np.maximum(extent, span * 1e-3)))
     target = max(1.0, float(k))
@@ -245,7 +273,39 @@ def _knn_cell_size(points: np.ndarray, k: int) -> float:
         if mean <= 0.0 or 0.25 * target <= mean <= 4.0 * target:
             break
         size = max(floor_size, size * float((target / mean) ** (1.0 / 3.0)))
-    return min(size, span)
+    size = min(size, span)
+    return grid if grid.cell_size == size else _build_grid(points, size)
+
+
+def _kth_bound(
+    qidx: np.ndarray, d2: np.ndarray, num_queries: int, k: int
+) -> np.ndarray:
+    """Each query's k-th smallest candidate ``d^2`` (``inf`` for queries
+    with at most ``k`` candidates).
+
+    Queries with more than ``k`` candidates are laid out as the rows of
+    an ``inf``-padded ``(rows, width)`` table, and one row-wise
+    ``np.partition`` selects the k-th value of each.
+    """
+    counts = np.bincount(qidx, minlength=num_queries)
+    bound = np.full(num_queries, np.inf, dtype=d2.dtype)
+    full = counts > k
+    rows = np.flatnonzero(full)
+    if not rows.size:
+        return bound
+    widths = np.where(full, counts, 0)
+    width = int(widths.max())
+    # A candidate's flat table slot is its query's offset plus its
+    # position in the query-ordered candidate list.
+    offset = (np.cumsum(full) - 1) * width - (np.cumsum(widths) - widths)
+    picked = np.flatnonzero(np.take(full, qidx))
+    picked = picked[np.argsort(np.take(qidx, picked), kind="stable")]
+    slots = np.take(offset, np.take(qidx, picked)) + np.arange(len(picked))
+    table = np.full((len(rows), width), np.inf, dtype=d2.dtype)
+    np.put(table, slots, np.take(d2, picked))
+    table.partition(k - 1, axis=1)
+    bound[rows] = table[:, k - 1]
+    return bound
 
 
 def _topk_rows(
@@ -257,7 +317,14 @@ def _topk_rows(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Sort candidate pairs by ``(query, d^2, index)`` and keep each
     query's first ``k``.  Returns the kept ``(qidx, cand, d2, rank)`` plus
-    each query's k-th distance (``inf`` while fewer than ``k`` kept)."""
+    each query's k-th distance (``inf`` while fewer than ``k`` kept).
+
+    Only candidates at or inside their query's k-th smallest ``d^2`` are
+    sorted: every pair that can rank below ``k`` survives the filter,
+    ties at the boundary included, so ranks match a full sort.
+    """
+    near = d2 <= np.take(_kth_bound(qidx, d2, num_queries, k), qidx)
+    qidx, cand, d2 = qidx[near], cand[near], d2[near]
     order = np.lexsort((cand, d2, qidx))
     sq, sc, sd = qidx[order], cand[order], d2[order]
     counts = np.bincount(sq, minlength=num_queries)
@@ -292,11 +359,13 @@ def knn(points, queries=None, *, k: int) -> MappingResult:
         stats = MappingStats("knn", "bucket", num_points, num_queries, 0, 0, 0, 0)
         return MappingResult(indices, dists, counts, None, stats)
 
-    cell_size = _knn_cell_size(pts, k)
-    grid = _build_grid(pts, cell_size)
+    grid = _knn_grid(pts, k)
     centers = _query_cells(grid, qs)
     max_shell = int(grid.ncells.max())
+    pcols = _columns(pts)
+    qcols = pcols if queries is None else _columns(qs)
     pending = np.arange(num_queries, dtype=np.int64)
+    is_pending = np.ones(num_queries, dtype=bool)
     acc_q = np.empty(0, dtype=np.int64)
     acc_c = np.empty(0, dtype=np.int64)
     acc_d = np.empty(0, dtype=pts.dtype)
@@ -307,22 +376,23 @@ def knn(points, queries=None, *, k: int) -> MappingResult:
             grid, centers[pending], _shell_offsets(shell)
         )
         examined += len(cand)
-        acc_q = np.concatenate([acc_q, pending[local_q]])
+        owner = np.take(pending, local_q)
+        acc_q = np.concatenate([acc_q, owner])
         acc_c = np.concatenate([acc_c, cand])
-        acc_d = np.concatenate([acc_d, _pair_distances(qs, pending[local_q], pts, cand)])
+        acc_d = np.concatenate([acc_d, _pair_distances(qcols, owner, pcols, cand)])
         sq, sc, sd, rank, kth = _topk_rows(acc_q, acc_c, acc_d, num_queries, k)
         # Unscanned buckets lie at Chebyshev distance > shell, hence at
         # Euclidean distance >= shell * cell_size; the half-cell margin
         # absorbs cell-assignment rounding.
         limit = ((shell - 0.5) * grid.cell_size) ** 2
         done = (kth[pending] < limit) | (shell >= max_shell)
-        retired = pending[done]
-        if retired.size:
-            emit = np.isin(sq, retired)
+        if done.any():
+            is_pending[pending[done]] = False
+            emit = ~is_pending[sq]
             indices[sq[emit], rank[emit]] = sc[emit]
             dists[sq[emit], rank[emit]] = sd[emit]
         pending = pending[~done]
-        live = np.isin(sq, pending)
+        live = is_pending[sq]
         acc_q, acc_c, acc_d = sq[live], sc[live], sd[live]
         shell += 1
     stats = MappingStats(
@@ -403,7 +473,7 @@ def ball_query(points, queries=None, *, radius: float, max_samples: int) -> Mapp
     qs = pts if queries is None else as_point_array(queries)
     radius = float(radius)
     max_samples = int(max_samples)
-    if radius < 0:
+    if not radius >= 0:
         raise ValueError(f"radius must be non-negative, got {radius}")
     if max_samples < 1:
         raise ValueError(f"max_samples must be positive, got {max_samples}")
@@ -425,7 +495,7 @@ def ball_query(points, queries=None, *, radius: float, max_samples: int) -> Mapp
     grid = _build_grid(pts, cell_size)
     qidx, cand = _gather_candidates(grid, _query_cells(grid, qs), _cube_offsets(1))
     examined = len(cand)
-    d2 = _pair_distances(qs, qidx, pts, cand)
+    d2 = _pair_distances(_columns(qs), qidx, _columns(pts), cand)
     within = d2 <= radius * radius
     qidx, cand, d2 = qidx[within], cand[within], d2[within]
     order = np.lexsort((cand, qidx))
@@ -453,7 +523,7 @@ def ball_query_bruteforce(
     qs = pts if queries is None else as_point_array(queries)
     radius = float(radius)
     max_samples = int(max_samples)
-    if radius < 0:
+    if not radius >= 0:
         raise ValueError(f"radius must be non-negative, got {radius}")
     if max_samples < 1:
         raise ValueError(f"max_samples must be positive, got {max_samples}")
@@ -490,6 +560,14 @@ def ball_query_bruteforce(
     return MappingResult(indices, dists, counts, None, stats)
 
 
+def _distances_to(cols: np.ndarray, index: int, diff: np.ndarray) -> np.ndarray:
+    """Squared distances from every point of the ``(3, N)`` columns to
+    point ``index``, computed in the ``(3, N)`` scratch ``diff``; returns
+    a view of ``diff[0]``."""
+    np.subtract(cols, cols[:, index : index + 1], out=diff)
+    return _sum_squares(diff)
+
+
 def farthest_point_sample(points, num_samples: int) -> MappingResult:
     """Greedy farthest-point sampling: start at index 0, then repeatedly
     take the point farthest from the selected set (ties to the smaller
@@ -503,16 +581,15 @@ def farthest_point_sample(points, num_samples: int) -> MappingResult:
     take = min(num_samples, num_points)
     examined = 0
     if take > 0:
+        cols = _columns(pts)
+        diff = np.empty_like(cols)
         indices[0] = 0
-        seed_diff = pts - pts[0]
-        best = (seed_diff * seed_diff).sum(axis=1)
-        examined = num_points
+        best = _distances_to(cols, 0, diff).copy()
         for step in range(1, take):
-            far = int(np.argmax(best))
+            far = int(best.argmax())
             indices[step] = far
-            diff = pts - pts[far]
-            best = np.minimum(best, (diff * diff).sum(axis=1))
-            examined += num_points
+            np.minimum(best, _distances_to(cols, far, diff), out=best)
+        examined = take * num_points
     counts = np.asarray([take], dtype=np.int64)
     stats = MappingStats(
         "farthest_point_sample",
@@ -569,7 +646,7 @@ def group_points(values, indices) -> MappingResult:
         raise ValueError(f"expected (N, C) values, got shape {vals.shape}")
     if idx.ndim != 2:
         raise ValueError(f"expected (Q, k) indices, got shape {idx.shape}")
-    if idx.size and idx.max() >= len(vals):
+    if idx.size and (idx.max() >= len(vals) or idx.min() < -1):
         raise ValueError("neighbor index out of range for the value rows")
     safe = np.where(idx < 0, 0, idx)
     grouped = vals[safe]

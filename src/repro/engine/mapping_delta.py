@@ -409,8 +409,7 @@ def _patch_knn(
     kth = old_dists[:, k - 1] if k > 0 else np.zeros(len(old_indices))
     if added_rows.size and stable_old.size:
         stable_queries = pts_new[old_to_new[stable_old]]
-        diff = stable_queries[:, None, :] - pts_new[added_rows][None, :, :]
-        add_d2 = (diff * diff).sum(axis=2)
+        add_d2 = mapping._distance_matrix(stable_queries, pts_new[added_rows])
         add_hit = (add_d2 <= kth[stable_old][:, None]).any(axis=1)
     else:
         add_hit = np.zeros(len(stable_old), dtype=bool)
@@ -517,6 +516,4 @@ def _any_within(queries: np.ndarray, points: np.ndarray, r2: float) -> np.ndarra
     threshold gate that admitted the delta."""
     if len(queries) == 0 or len(points) == 0:
         return np.zeros(len(queries), dtype=bool)
-    diff = queries[:, None, :] - points[None, :, :]
-    d2 = (diff * diff).sum(axis=2)
-    return (d2 <= r2).any(axis=1)
+    return (mapping._distance_matrix(queries, points) <= r2).any(axis=1)

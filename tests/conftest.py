@@ -24,6 +24,18 @@ def random_sparse_tensor(
     return SparseTensor3D(coords, features, shape)
 
 
+def table_voxels() -> SparseTensor3D:
+    """A fixed voxelized table: 1,285 occupied voxels on a 96^3 grid."""
+    from repro.geometry.synthetic import make_shapenet_like_cloud
+    from repro.geometry.voxelizer import Voxelizer
+
+    cloud = make_shapenet_like_cloud(
+        seed=0, category="table", n_points=8000, grid_fraction=0.3
+    )
+    voxelizer = Voxelizer(resolution=96, normalize=False, occupancy_only=True)
+    return voxelizer.voxelize(cloud)
+
+
 @pytest.fixture
 def small_tensor() -> SparseTensor3D:
     return random_sparse_tensor(seed=1, shape=(12, 12, 12), nnz=30, channels=3)

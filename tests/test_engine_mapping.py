@@ -10,8 +10,11 @@ comparisons below are exact equality, never approximate.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine import mapping as M
+from tests.conftest import table_voxels
 
 SEEDS = (0, 1, 2, 3)
 
@@ -191,6 +194,13 @@ def test_ball_query_validation():
         M.ball_query(pts, radius=1.0, max_samples=0)
 
 
+@pytest.mark.parametrize("op", [M.ball_query, M.ball_query_bruteforce])
+def test_ball_query_rejects_nan_radius(op):
+    pts = voxel_cloud(1, n=40)
+    with pytest.raises(ValueError, match="non-negative"):
+        op(pts, radius=float("nan"), max_samples=4)
+
+
 # ---------------------------------------------------------------------------
 # Farthest-point sampling
 # ---------------------------------------------------------------------------
@@ -245,6 +255,9 @@ def test_group_points_validation():
     values = np.zeros((4, 2))
     with pytest.raises(ValueError, match="out of range"):
         M.group_points(values, np.array([[0, 4]]))
+    # Only -1 marks padding; any other negative index is out of range.
+    with pytest.raises(ValueError, match="out of range"):
+        M.group_points(values, np.array([[-5, 1]]))
     with pytest.raises(ValueError, match="\\(N, C\\)"):
         M.group_points(np.zeros(4), np.array([[0]]))
     with pytest.raises(ValueError, match="\\(Q, k\\)"):
@@ -281,3 +294,185 @@ def test_as_point_array_accepts_tensors_and_widens_ints():
     assert np.array_equal(via_tensor, via_array)
     # Mapping ops accept the tensor directly.
     assert_knn_identical(M.knn(tensor, k=3), M.knn(coords, k=3))
+
+
+# ---------------------------------------------------------------------------
+# Non-finite coordinates
+# ---------------------------------------------------------------------------
+NON_FINITE_OPS = {
+    "knn": lambda pts, qs: M.knn(pts, qs, k=2),
+    "knn_bruteforce": lambda pts, qs: M.knn_bruteforce(pts, qs, k=2),
+    "ball_query": lambda pts, qs: M.ball_query(
+        pts, qs, radius=1.0, max_samples=2
+    ),
+    "ball_query_bruteforce": lambda pts, qs: M.ball_query_bruteforce(
+        pts, qs, radius=1.0, max_samples=2
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_FINITE_OPS))
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_searches_reject_non_finite_points_and_queries(name, bad, dtype):
+    op = NON_FINITE_OPS[name]
+    pts = np.array([[0, 0, 0], [1, 0, 0], [2, 2, 2]], dtype=dtype)
+    broken = np.array([[bad, 0, 0]], dtype=dtype)
+    with pytest.raises(ValueError, match="finite"):
+        op(pts, broken)
+    with pytest.raises(ValueError, match="finite"):
+        op(np.concatenate([pts, broken]), pts)
+    with pytest.raises(ValueError, match="finite"):
+        op(np.concatenate([pts, broken]), None)
+
+
+@pytest.mark.parametrize(
+    "op", [M.farthest_point_sample, M.farthest_point_sample_bruteforce]
+)
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_fps_rejects_non_finite_points(op, bad):
+    pts = np.array([[0.0, 0.0, 0.0], [bad, 0.0, 0.0], [1.0, 1.0, 1.0]])
+    with pytest.raises(ValueError, match="finite"):
+        op(pts, 3)
+
+
+# ---------------------------------------------------------------------------
+# Pinned workload counters
+# ---------------------------------------------------------------------------
+def counters(result):
+    stats = result.stats
+    return stats.candidates, stats.matches, stats.cells, stats.shells
+
+
+def test_mapping_stats_pinned_on_table_cloud():
+    """``MappingCostModel`` prices these counters, so a kernel rewrite
+    must reproduce them exactly; the numbers were recorded on the
+    kernels that predate the column-wise distances and the prefiltered
+    top-k."""
+    coords = table_voxels().coords
+    assert len(coords) == 1285
+    fps = M.farthest_point_sample(coords, 64)
+    assert counters(fps) == (82240, 64, 0, 0)
+    centroids = coords[fps.indices]
+    assert counters(M.knn(coords, centroids, k=8)) == (10251, 512, 54, 2)
+    assert counters(M.knn(coords, k=8)) == (198556, 10280, 54, 2)
+    ball = M.ball_query(coords, centroids, radius=3.0, max_samples=16)
+    assert counters(ball) == (4639, 998, 154, 1)
+    self_ball = M.ball_query(coords, radius=2.0, max_samples=16)
+    assert counters(self_ball) == (48135, 17592, 387, 1)
+
+
+# ---------------------------------------------------------------------------
+# Prefiltered top-k
+# ---------------------------------------------------------------------------
+def topk_rows_reference(qidx, cand, d2, num_queries, k):
+    """Full ``(query, d^2, index)`` sort of every candidate, first ``k``
+    kept — the selection ``_topk_rows`` makes without sorting them all."""
+    order = np.lexsort((cand, d2, qidx))
+    sq, sc, sd = qidx[order], cand[order], d2[order]
+    counts = np.bincount(sq, minlength=num_queries)
+    rank = np.arange(len(sq)) - (np.cumsum(counts) - counts)[sq]
+    keep = rank < k
+    sq, sc, sd, rank = sq[keep], sc[keep], sd[keep], rank[keep]
+    kth = np.full(num_queries, np.inf)
+    last = rank == k - 1
+    kth[sq[last]] = sd[last]
+    return sq, sc, sd, rank, kth
+
+
+@st.composite
+def candidate_lists(draw):
+    """Unordered per-query candidate lists with distinct point indices.
+
+    Distances come from a tiny integer range, so ties are everywhere —
+    including exactly at rank ``k``; row lengths run from empty to well
+    past ``k``; a large scale stands in for far-off queries.
+    """
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    k = draw(st.integers(1, 6))
+    num_queries = draw(st.integers(1, 6))
+    scale = draw(st.sampled_from([1.0, 0.25, 1e6, 1e30]))
+    qidx, cand, d2 = [], [], []
+    for query in range(num_queries):
+        points = draw(
+            st.lists(st.integers(0, 40), max_size=3 * k + 2, unique=True)
+        )
+        levels = draw(
+            st.lists(
+                st.integers(0, 4), min_size=len(points), max_size=len(points)
+            )
+        )
+        qidx += [query] * len(points)
+        cand += points
+        d2 += levels
+    shuffle = draw(st.permutations(range(len(qidx))))
+    qidx = np.asarray(qidx, dtype=np.int64)[list(shuffle)]
+    cand = np.asarray(cand, dtype=np.int64)[list(shuffle)]
+    d2 = (np.asarray(d2, dtype=np.float64)[list(shuffle)] * scale).astype(dtype)
+    return qidx, cand, d2, num_queries, k
+
+
+@settings(max_examples=200, deadline=None)
+@given(candidate_lists())
+def test_topk_rows_matches_full_sort(case):
+    got = M._topk_rows(*case)
+    want = topk_rows_reference(*case)
+    for got_part, want_part in zip(got, want):
+        assert np.array_equal(got_part, want_part)
+
+
+def test_topk_rows_keeps_ties_at_rank_k():
+    # Query 0: three candidates tie with its 2nd-smallest distance.
+    qidx = np.array([0, 0, 0, 0, 0, 1], dtype=np.int64)
+    cand = np.array([9, 7, 3, 5, 1, 2], dtype=np.int64)
+    d2 = np.array([2.0, 1.0, 1.0, 4.0, 1.0, 0.0])
+    sq, sc, sd, rank, kth = M._topk_rows(qidx, cand, d2, 2, 2)
+    assert np.array_equal(sq, [0, 0, 1])
+    assert np.array_equal(sc, [1, 3, 2])
+    assert np.array_equal(rank, [0, 1, 0])
+    assert np.array_equal(kth, [1.0, np.inf])
+
+
+@st.composite
+def grid_clouds(draw):
+    """Small integer grids full of equal distances, some duplicate points,
+    and queries that may sit far outside the grid."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    coord = st.integers(0, 5)
+    point = st.tuples(coord, coord, coord)
+    pts = draw(st.lists(point, min_size=1, max_size=60))
+    far = st.tuples(*([st.sampled_from([-300, 0, 2, 300])] * 3))
+    qs = draw(st.lists(st.one_of(point, far), min_size=1, max_size=12))
+    return np.asarray(pts, dtype=dtype), np.asarray(qs, dtype=dtype)
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid_clouds(), st.integers(1, 9))
+def test_knn_matches_bruteforce_on_tied_grids(cloud, k):
+    pts, qs = cloud
+    assert_knn_identical(M.knn(pts, qs, k=k), M.knn_bruteforce(pts, qs, k=k))
+    assert_knn_identical(M.knn(pts, k=k), M.knn_bruteforce(pts, k=k))
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid_clouds(), st.integers(1, 70))
+def test_fps_matches_bruteforce_on_duplicate_points(cloud, num_samples):
+    pts, _ = cloud
+    got = M.farthest_point_sample(pts, num_samples)
+    want = M.farthest_point_sample_bruteforce(pts, num_samples)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.counts, want.counts)
+    # One full distance sweep per pick.
+    assert got.stats.candidates == got.stats.matches * len(pts)
+
+
+def test_column_distances_match_row_sums():
+    """The shared ``(dx*dx + dy*dy) + dz*dz`` equals numpy's length-3
+    row ``sum`` bit for bit, in both float widths."""
+    rng = np.random.default_rng(4)
+    for dtype in (np.float64, np.float32):
+        queries = (rng.normal(size=(300, 3)) * 1e3).astype(dtype)
+        points = (rng.normal(size=(200, 3)) * 1e-2).astype(dtype)
+        diff = queries[:, None, :] - points[None, :, :]
+        want = (diff * diff).sum(axis=2)
+        assert np.array_equal(M._distance_matrix(queries, points), want)

@@ -22,6 +22,7 @@ from repro.engine import (
 )
 from repro.nn import PointNetClassifier, PointNetConfig, SetAbstraction
 from repro.sparse.coo import SparseTensor3D
+from tests.conftest import table_voxels
 
 CONFIG = PointNetConfig(
     centroids=(64, 16), widths=(16, 32), neighbors=8, seed=0
@@ -146,6 +147,27 @@ def test_session_estimate_reports_nonzero_mapping_cycles():
     for op in estimate.mapping_ops:
         assert op.total_cycles >= MAPPING_PIPELINE_FILL_CYCLES
     assert session.stats.estimates == 1
+
+
+def test_session_estimate_cycles_pinned_on_table_frame():
+    """Per-op modeled cycles of one fixed frame.  The cost model prices
+    the kernels' own ``MappingStats`` counters, so these numbers hold
+    only while every kernel keeps its counters; they were recorded on
+    the kernels that predate the column-wise distances and the
+    prefiltered top-k."""
+    session = InferenceSession(
+        net=PointNetClassifier(PointNetConfig(neighbors=8, seed=0))
+    )
+    estimate = session.estimate(table_voxels())
+    assert [(op.op, op.total_cycles) for op in estimate.mapping_ops] == [
+        ("farthest_point_sample", 11212),
+        ("knn", 2382),
+        ("group_points", 336),
+        ("farthest_point_sample", 336),
+        ("knn", 377),
+        ("group_points", 96),
+    ]
+    assert estimate.total_mapping_cycles == 14739
 
 
 def test_session_simulate_lays_out_phases():
